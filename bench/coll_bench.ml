@@ -97,11 +97,41 @@ let run_strategy strategy sname =
          in
          Bb.checksum (Group.scatter gm ~root:0 parts)) ]
 
+(* Construction cost of one circuit over the whole grid: wall ms (min of
+   3 builds; noise only adds) and bytes still live per ordered member
+   pair once it is built (deterministic GC word count). *)
+let circuit_build () =
+  let n = clusters * per_cluster in
+  let best_ms = ref infinity and live_per_pair = ref 0.0 in
+  for _ = 1 to 3 do
+    Padico.reset ();
+    let g = Gridgen.generate ~clusters ~nodes_per_cluster:per_cluster () in
+    Gc.full_major ();
+    let live0 = (Gc.stat ()).Gc.live_words in
+    let t0 = Unix.gettimeofday () in
+    let cts = Padico.circuit g.Gridgen.grid ~name:"e13-build" g.Gridgen.nodes in
+    let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+    Gc.full_major ();
+    let live1 = (Gc.stat ()).Gc.live_words in
+    ignore (Sys.opaque_identity (g, cts));
+    best_ms := Float.min !best_ms ms;
+    live_per_pair :=
+      float_of_int ((live1 - live0) * (Sys.word_size / 8))
+      /. float_of_int (n * (n - 1))
+  done;
+  Padico.reset ();
+  Printf.printf
+    "circuit build over %d ranks: %.0f ms, %.1f B live per member pair\n\n"
+    n !best_ms !live_per_pair;
+  Bhelp.record ~experiment:"e13" "circuit_build_ms" !best_ms;
+  Bhelp.record ~experiment:"e13" "circuit_live_bytes_per_pair" !live_per_pair
+
 let run () =
   Scenario.print_header
     (Printf.sprintf
        "E13: collectives at grid scale (%d clusters x %d nodes = %d ranks)"
        clusters per_cluster (clusters * per_cluster));
+  circuit_build ();
   let flat = run_strategy Group.Flat "flat" in
   let ml = run_strategy Group.Multilevel "ml" in
   Printf.printf

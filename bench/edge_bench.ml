@@ -42,6 +42,9 @@ let churn = try float_of_string (Sys.getenv "EDGE_CHURN") with Not_found -> 0.05
 let tail = 1.3
 let active_frac = try float_of_string (Sys.getenv "EDGE_ACTIVE") with Not_found -> 0.2
 
+(* Per-connection wall cost at 100k over 1k (see the header). *)
+let cost_ratio_budget = 2.5
+
 let sum_over_nodes f nodes =
   List.fold_left (fun acc n -> acc + f (Sysio.get n)) 0 nodes
 
@@ -137,12 +140,19 @@ let run_sim () =
     Hashtbl.find per_conn "100k" /. Hashtbl.find per_conn "10k"
   in
   Printf.printf
-    "  per-conn cost ratio 100k vs 1k: %.2f  vs 10k: %.2f (budget 2.5 \
+    "  per-conn cost ratio 100k vs 1k: %.2f  vs 10k: %.2f (budget %.1f \
      incl. the L2->DRAM working-set shift; resident bytes and \
      allocation per conn are scale-flat)\n%!"
-    ratio1 ratio10;
+    ratio1 ratio10 cost_ratio_budget;
   Bhelp.record ~experiment:"e15" "cost_ratio_100k_vs_1k" ratio1;
-  Bhelp.record ~experiment:"e15" "cost_ratio_100k_vs_10k" ratio10
+  Bhelp.record ~experiment:"e15" "cost_ratio_100k_vs_10k" ratio10;
+  if ratio1 > cost_ratio_budget then begin
+    Printf.eprintf
+      "e15: per-connection cost at 100k is %.2fx the 1k figure (budget \
+       %.1fx)\n"
+      ratio1 cost_ratio_budget;
+    exit 1
+  end
 
 (* Host subset: 400 clients, no churn (real sockets + TIME_WAIT make
    churned ports noisy), bounded by wall-clock deadline since idle real

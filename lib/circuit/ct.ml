@@ -3,7 +3,12 @@ module Stats = Engine.Stats
 module Trace = Padico_obs.Trace
 module Metrics = Padico_obs.Metrics
 
-type adapter = { a_name : string; a_sendv : Bytebuf.t list -> unit }
+type adapter = { a_name : string; a_sendv : dst:int -> Bytebuf.t list -> unit }
+
+(* Marks an unbound link: links are stored unboxed, one shared adapter per
+   transport, so "no adapter yet" is this sentinel (compared physically). *)
+let unbound_link =
+  { a_name = "unbound"; a_sendv = (fun ~dst:_ _ -> assert false) }
 
 type incoming = { payload : Bytebuf.t; src : int; mutable pos : int }
 
@@ -11,7 +16,11 @@ type t = {
   cname : string;
   crank : int;
   group : Simnet.Node.t array;
-  links : adapter option array;
+  (* Node id -> rank over the whole group, built once per circuit and
+     shared read-only by every member (sharded runs read it from several
+     domains). Co-located ranks map to the highest one. *)
+  rank_of_node : (int, int) Hashtbl.t;
+  links : adapter array;
   (* Messages packed before the link adapter is bound (e.g. while a WAN
      VLink bundle is still connecting) wait here, each with its optional
      completion hook. *)
@@ -36,15 +45,29 @@ type outgoing = {
   mutable closed : bool;
 }
 
-let create ~group ~rank ~name =
-  if rank < 0 || rank >= Array.length group then
-    invalid_arg "Ct.create: rank out of range";
+let index_group group =
+  let idx = Hashtbl.create (Array.length group) in
+  Array.iteri (fun r node -> Hashtbl.replace idx (Simnet.Node.id node) r) group;
+  idx
+
+let make ~group ~rank_of_node ~rank ~name =
   let scope = Metrics.Node (Simnet.Node.name group.(rank)) in
-  { cname = name; crank = rank; group;
-    links = Array.make (Array.length group) None; unbound = Hashtbl.create 4;
+  { cname = name; crank = rank; group; rank_of_node;
+    links = Array.make (Array.length group) unbound_link;
+    unbound = Hashtbl.create 4;
     pending_rx = Queue.create (); recv = None; on_peer_down = None;
     sent = Metrics.fresh_counter scope ("ct." ^ name ^ ".sent");
     received = Metrics.fresh_counter scope ("ct." ^ name ^ ".received") }
+
+let create ~group ~rank ~name =
+  if rank < 0 || rank >= Array.length group then
+    invalid_arg "Ct.create: rank out of range";
+  make ~group ~rank_of_node:(index_group group) ~rank ~name
+
+let create_all ~group ~name =
+  let rank_of_node = index_group group in
+  Array.init (Array.length group) (fun rank ->
+      make ~group ~rank_of_node ~rank ~name)
 
 let name t = t.cname
 let rank t = t.crank
@@ -56,24 +79,26 @@ let node_of_rank t r =
     invalid_arg "Ct.node_of_rank: rank out of range";
   t.group.(r)
 
+let rank_of_node_id t id = Hashtbl.find_opt t.rank_of_node id
+
 let set_link t ~dst adapter =
   if dst < 0 || dst >= Array.length t.group then
     invalid_arg "Ct.set_link: rank out of range";
-  t.links.(dst) <- Some adapter;
+  t.links.(dst) <- adapter;
   match Hashtbl.find_opt t.unbound dst with
   | Some q ->
     Hashtbl.remove t.unbound dst;
     Queue.iter
       (fun (iov, on_sent) ->
-         adapter.a_sendv iov;
+         adapter.a_sendv ~dst iov;
          match on_sent with Some f -> f () | None -> ())
       q
   | None -> ()
 
 let link_adapter_name t ~dst =
-  match t.links.(dst) with
-  | Some a -> a.a_name
-  | None ->
+  let a = t.links.(dst) in
+  if a != unbound_link then a.a_name
+  else
     invalid_arg
       (Printf.sprintf
          "Ct.link_adapter_name: circuit %s has no adapter bound for the \
@@ -105,8 +130,8 @@ let end_packing ?on_sent out =
          { circuit = t.cname; dst = out.dst;
            bytes =
              List.fold_left (fun a b -> a + Bytebuf.length b) 0 out.pieces });
-  match t.links.(out.dst) with
-  | None ->
+  let a = t.links.(out.dst) in
+  if a == unbound_link then begin
     (* Adapter not bound yet: hold the message, flushed by set_link. *)
     let q =
       match Hashtbl.find_opt t.unbound out.dst with
@@ -117,9 +142,10 @@ let end_packing ?on_sent out =
         q
     in
     Queue.push (List.rev out.pieces, on_sent) q
-  | Some a ->
+  end
+  else
     Simnet.Node.cpu_async (node t) Calib.circuit_op_ns (fun () ->
-        a.a_sendv (List.rev out.pieces);
+        a.a_sendv ~dst:out.dst (List.rev out.pieces);
         match on_sent with Some f -> f () | None -> ())
 
 let unpack inc n =

@@ -8,23 +8,43 @@
     of ranks) is bound to an adapter — straight ({!Ct_madio} on SAN,
     {!Ct_loopback} intra-node) or cross-paradigm ({!Ct_sysio} over TCP,
     {!Ct_vlink} over any VLink, e.g. parallel streams on a WAN); one
-    instance can mix adapters across links. *)
+    instance can mix adapters across links.
+
+    {b Construction cost.} A member's state is O(group size): one slot per
+    link holding a {e shared} adapter — every link a member routes over
+    one transport (one MadIO channel, one SysIO stack) points at the same
+    adapter record, which takes the destination rank per send. Only
+    per-pair transports ({!Ct_vlink}: one parallel-streams VLink per WAN
+    pair) and co-located loopback peers carry per-link state. Per-peer
+    connection state (a SysIO queue and TCP connection) materialises on
+    the first send towards that peer. The node-id → rank index the
+    receive paths need is built once per circuit by {!create_all} and
+    shared read-only by every member. *)
 
 type t
 (** One member's view of a circuit (bound to its rank). *)
 
-(** Per-link transport provided by adapters. *)
+(** Transport provided by adapters. One adapter value is typically bound
+    to many links of a member (all the peers it reaches over one
+    transport instance), so the send takes the destination rank. *)
 type adapter = {
   a_name : string;
-  a_sendv : Engine.Bytebuf.t list -> unit;
-      (** gathered send towards the link's remote rank *)
+  a_sendv : dst:int -> Engine.Bytebuf.t list -> unit;
+      (** gathered send towards rank [dst] *)
 }
 
 (** Cursor over one received message. *)
 type incoming
 
 val create : group:Simnet.Node.t array -> rank:int -> name:string -> t
-(** [group] must be identical (same order) on every member. *)
+(** [group] must be identical (same order) on every member. Builds a
+    private node-id → rank index (O(group size)); use {!create_all} to
+    build every member of a circuit at once. *)
+
+val create_all : group:Simnet.Node.t array -> name:string -> t array
+(** One member per rank of [group], all sharing a single node-id → rank
+    index built here. The index is never mutated afterwards, so members
+    executing on different domains may read it concurrently. *)
 
 val name : t -> string
 val rank : t -> int
@@ -34,8 +54,13 @@ val node : t -> Simnet.Node.t
 
 val node_of_rank : t -> int -> Simnet.Node.t
 
+val rank_of_node_id : t -> int -> int option
+(** The rank hosted on the node with this {!Simnet.Node.id} (the highest
+    one when several ranks share the node), if any. O(1). *)
+
 val set_link : t -> dst:int -> adapter -> unit
-(** Bind the link towards rank [dst]. *)
+(** Bind the link towards rank [dst]. Binding the same adapter value to
+    many links costs one array slot per link. *)
 
 val link_adapter_name : t -> dst:int -> string
 (** Raises [Invalid_argument] — naming the circuit and the src/dst ranks —

@@ -12,22 +12,26 @@ let register ct =
     (Simnet.Node.uid (Ct.node ct), Ct.name ct, Ct.rank ct)
     ct
 
-let bind ct ~dst =
+let bind ct ~ranks =
   register ct;
   let node = Ct.node ct in
-  let dst_node = Ct.node_of_rank ct dst in
-  if Simnet.Node.uid node <> Simnet.Node.uid dst_node then
-    invalid_arg "Ct_loopback.bind: destination rank is on another node";
+  let uid = Simnet.Node.uid node in
+  List.iter
+    (fun dst ->
+       if Simnet.Node.uid (Ct.node_of_rank ct dst) <> uid then
+         invalid_arg "Ct_loopback.bind: destination rank is on another node")
+    ranks;
   let src_rank = Ct.rank ct in
-  Ct.set_link ct ~dst
+  let adapter =
     { Ct.a_name = adapter_name;
       a_sendv =
-        (fun iov ->
+        (fun ~dst iov ->
            let payload = Bytebuf.concat iov in
            Simnet.Node.cpu_async node 300 (fun () ->
                match
-                 Hashtbl.find_opt local_instances
-                   (Simnet.Node.uid dst_node, Ct.name ct, dst)
+                 Hashtbl.find_opt local_instances (uid, Ct.name ct, dst)
                with
                | Some peer -> Ct.deliver peer ~src:src_rank payload
                | None -> ())) }
+  in
+  List.iter (fun dst -> Ct.set_link ct ~dst adapter) ranks

@@ -4,19 +4,16 @@ let adapter_name = "madio"
 
 let bind ct mio ~lchannel_id ~ranks =
   let lchan = Madio.open_lchannel mio ~id:lchannel_id in
-  (* Node id -> rank for the receive path. *)
-  let rank_of_node = Hashtbl.create 16 in
-  for r = 0 to Ct.size ct - 1 do
-    Hashtbl.replace rank_of_node (Simnet.Node.id (Ct.node_of_rank ct r)) r
-  done;
   Madio.set_recv lchan (fun ~src payload ->
-      match Hashtbl.find_opt rank_of_node src with
+      match Ct.rank_of_node_id ct src with
       | Some rank -> Ct.deliver ct ~src:rank payload
       | None -> ());
-  List.iter
-    (fun dst ->
-       let dst_node = Simnet.Node.id (Ct.node_of_rank ct dst) in
-       Ct.set_link ct ~dst
-         { Ct.a_name = adapter_name;
-           a_sendv = (fun iov -> Madio.sendv lchan ~dst:dst_node iov) })
-    ranks
+  (* One adapter for every peer on this channel. *)
+  let adapter =
+    { Ct.a_name = adapter_name;
+      a_sendv =
+        (fun ~dst iov ->
+           Madio.sendv lchan ~dst:(Simnet.Node.id (Ct.node_of_rank ct dst)) iov)
+    }
+  in
+  List.iter (fun dst -> Ct.set_link ct ~dst adapter) ranks

@@ -1,6 +1,6 @@
 (** Straight Circuit adapter: parallel interface on parallel hardware,
     through MadIO's logical multiplexing. One MadIO logical channel per
-    circuit. *)
+    circuit; one shared adapter per bound channel. *)
 
 val bind :
   Ct.t -> Netaccess.Madio.t -> lchannel_id:int -> ranks:int list -> unit

@@ -94,51 +94,46 @@ let bind ct sio stack ~port ~ranks =
             before this handler runs. Drain whatever is already buffered. *)
          rx_pump ct st conn)
    with Invalid_argument _ -> ());
-  List.iter
-    (fun dst ->
-       (* Per-destination queue and connection materialize on first send:
-          grid-scale groups bind thousands of links per node while each
-          node actually talks to a handful of tree neighbours, so eager
-          allocation here dominated circuit construction. *)
-       let tx_ref = ref None in
-       let ensure_tx () =
-         match !tx_ref with
-         | Some tx -> tx
-         | None ->
-           let tx =
-             { outq = Streamq.create (); conn = None; established = false }
-           in
-           tx_ref := Some tx;
-           let dst_node = Simnet.Node.id (Ct.node_of_rank ct dst) in
-           let conn =
-             Sysio.connect sio stack ~dst:dst_node ~port (fun conn ev ->
-                 match ev with
-                 | Tcp.Established ->
-                   tx.established <- true;
-                   let hello = Bytebuf.create 2 in
-                   Bytebuf.set_u16 hello 0 (Ct.rank ct);
-                   ignore (Sysio.write conn hello);
-                   tx_flush tx
-                 | Tcp.Writable -> tx_flush tx
-                 | Tcp.Peer_closed | Tcp.Reset ->
-                   tx.established <- false;
-                   Ct.peer_down ct ~rank:dst
-                 | Tcp.Readable -> ())
-           in
-           tx.conn <- Some conn;
-           tx
-       in
-       Ct.set_link ct ~dst
-         { Ct.a_name = adapter_name;
-           a_sendv =
-             (fun iov ->
-                let tx = ensure_tx () in
-                let len =
-                  List.fold_left (fun a b -> a + Bytebuf.length b) 0 iov
-                in
-                let hdr = Bytebuf.create frame_hdr in
-                Bytebuf.set_u32 hdr 0 len;
-                Streamq.push tx.outq hdr;
-                List.iter (Streamq.push tx.outq) iov;
-                tx_flush tx) })
-    ranks
+  (* One adapter for every peer reached over this stack. Per-destination
+     queue and connection materialize on first send, in a member-local
+     table: grid-scale groups bind thousands of links per node while each
+     node actually talks to a handful of tree neighbours. *)
+  let txs : (int, tx_state) Hashtbl.t = Hashtbl.create 8 in
+  let ensure_tx dst =
+    match Hashtbl.find_opt txs dst with
+    | Some tx -> tx
+    | None ->
+      let tx = { outq = Streamq.create (); conn = None; established = false } in
+      Hashtbl.replace txs dst tx;
+      let dst_node = Simnet.Node.id (Ct.node_of_rank ct dst) in
+      let conn =
+        Sysio.connect sio stack ~dst:dst_node ~port (fun conn ev ->
+            match ev with
+            | Tcp.Established ->
+              tx.established <- true;
+              let hello = Bytebuf.create 2 in
+              Bytebuf.set_u16 hello 0 (Ct.rank ct);
+              ignore (Sysio.write conn hello);
+              tx_flush tx
+            | Tcp.Writable -> tx_flush tx
+            | Tcp.Peer_closed | Tcp.Reset ->
+              tx.established <- false;
+              Ct.peer_down ct ~rank:dst
+            | Tcp.Readable -> ())
+      in
+      tx.conn <- Some conn;
+      tx
+  in
+  let adapter =
+    { Ct.a_name = adapter_name;
+      a_sendv =
+        (fun ~dst iov ->
+           let tx = ensure_tx dst in
+           let len = List.fold_left (fun a b -> a + Bytebuf.length b) 0 iov in
+           let hdr = Bytebuf.create frame_hdr in
+           Bytebuf.set_u32 hdr 0 len;
+           Streamq.push tx.outq hdr;
+           List.iter (Streamq.push tx.outq) iov;
+           tx_flush tx) }
+  in
+  List.iter (fun dst -> Ct.set_link ct ~dst adapter) ranks

@@ -1,7 +1,9 @@
 (** Cross-paradigm Circuit adapter: parallel interface over distributed
     hardware (TCP through SysIO). Message boundaries are restored with a
     length-prefixed framing; connections are opened lazily per link and
-    accepted on a per-circuit port (the same on every member). *)
+    accepted on a per-circuit port (the same on every member). One shared
+    adapter per bound stack; a peer's queue and connection exist only
+    once something was sent to it. *)
 
 val bind :
   Ct.t ->

@@ -44,7 +44,7 @@ let bind_link ct ~dst vl =
   Ct.set_link ct ~dst
     { Ct.a_name = adapter_name;
       a_sendv =
-        (fun iov ->
+        (fun ~dst:_ iov ->
            let len = List.fold_left (fun a b -> a + Bytebuf.length b) 0 iov in
            let hdr = Bytebuf.create frame_hdr in
            Bytebuf.set_u32 hdr 0 len;

@@ -103,9 +103,12 @@ type t = {
   n : int;
   wmsgs : Stats.Counter.t; (* shared across members *)
   wbytes : Stats.Counter.t;
-  (* Flat-array per-member state, allocated once at creation and reused by
-     every operation — no per-round allocation beyond outgoing buffers. *)
-  slots : Bb.t option array; (* gather contributions / scatter entries *)
+  (* Flat-array per-member state, allocated once and reused by every
+     operation — no per-round allocation beyond outgoing buffers. *)
+  mutable slots : Bb.t option array;
+  (* gather contributions / scatter entries: [||] until the member's first
+     gather or scatter, so groups running only barrier/bcast/reduce/
+     allreduce do not pay n slots per member *)
   pending : (int * int * int * int * int * Bb.t) Queue.t;
   (* seq, src, hdr, epoch, digest, body *)
   mutable on_sent : unit -> unit; (* single hook, see create *)
@@ -519,6 +522,13 @@ let apply_rop rop acc body =
        | Bxor -> x lxor y)
   done
 
+let slots t =
+  if Array.length t.slots = 0 then t.slots <- Array.make t.n None;
+  t.slots
+
+let clear_slots t =
+  if Array.length t.slots > 0 then Array.fill t.slots 0 t.n None
+
 (* Body cursor for parsing stored message bodies. *)
 let read_int body pos =
   let v = Int64.to_int (Bb.get_i64 body !pos) in
@@ -535,12 +545,12 @@ let pack_entries t out keep =
      payload)...]. Returns body bytes. *)
   let cnt = ref 0 in
   for r = 0 to t.n - 1 do
-    match t.slots.(r) with Some _ when keep r -> incr cnt | _ -> ()
+    match (slots t).(r) with Some _ when keep r -> incr cnt | _ -> ()
   done;
   Ct.pack_int out !cnt;
   let bytes = ref 8 in
   for r = 0 to t.n - 1 do
-    match t.slots.(r) with
+    match (slots t).(r) with
     | Some p when keep r ->
       Ct.pack_int out r;
       Ct.pack_int out (Bb.length p);
@@ -599,7 +609,7 @@ and forward_down t =
     iter_children_of t (fun child ->
         let any = ref false in
         for dst = 0 to t.n - 1 do
-          match t.slots.(dst) with
+          match (slots t).(dst) with
           | Some _ when route_child t dst = child -> any := true
           | _ -> ()
         done;
@@ -608,8 +618,8 @@ and forward_down t =
               pack_entries t out (fun dst -> route_child t dst = child));
           (* Entries now travel in the child's subtree: release them. *)
           for dst = 0 to t.n - 1 do
-            match t.slots.(dst) with
-            | Some _ when route_child t dst = child -> t.slots.(dst) <- None
+            match (slots t).(dst) with
+            | Some _ when route_child t dst = child -> (slots t).(dst) <- None
             | _ -> ()
           done
         end)
@@ -667,7 +677,7 @@ and handle_up t src body =
          let r = read_int body pos in
          let len = read_int body pos in
          let p = read_buf body pos len in
-         if r >= 0 && r < t.n then t.slots.(r) <- Some p
+         if r >= 0 && r < t.n then (slots t).(r) <- Some p
        done
      | Bcast | Scatter -> assert false);
     if t.active then begin
@@ -695,7 +705,7 @@ and handle_down t src body =
          let len = read_int body pos in
          let p = read_buf body pos len in
          if r = t.rank then t.acc <- Some p
-         else if r >= 0 && r < t.n then t.slots.(r) <- Some p
+         else if r >= 0 && r < t.n then (slots t).(r) <- Some p
        done
      | Reduce | Gather -> assert false);
     forward_down t;
@@ -783,7 +793,7 @@ and h_handle_up t src body =
          let r = read_int body pos in
          let len = read_int body pos in
          let p = read_buf body pos len in
-         if r >= 0 && r < t.n then t.slots.(r) <- Some p
+         if r >= 0 && r < t.n then (slots t).(r) <- Some p
        done);
     if t.active then begin
       t.expect_up <- t.expect_up - 1;
@@ -817,7 +827,7 @@ and h_handle_down t _src body =
            let len = read_int body pos in
            let p = read_buf body pos len in
            if r = t.rank then t.acc <- Some p
-           else if r >= 0 && r < t.n then t.slots.(r) <- Some p
+           else if r >= 0 && r < t.n then (slots t).(r) <- Some p
          done
        | _ -> ());
       h_forward_down t;
@@ -937,7 +947,7 @@ and restart_active t h =
       t.mc <- Array.length (Netdb.members t.db t.c_me);
       t.base <- Netdb.position t.db (croot t t.c_me);
       t.v_me <- (Netdb.position t.db t.rank - t.base + t.mc) mod t.mc;
-      Array.fill t.slots 0 t.n None;
+      clear_slots t;
       (match t.op with
        | Barrier -> t.acc <- None
        | Bcast ->
@@ -954,14 +964,14 @@ and restart_active t h =
        | Gather ->
          t.acc <- None;
          (match h.contrib with
-          | Some p -> t.slots.(t.rank) <- Some p
+          | Some p -> (slots t).(t.rank) <- Some p
           | None -> ())
        | Scatter ->
          t.acc <- None;
          if t.rank = t.root && Array.length h.centries = t.n then
            for i = 0 to t.n - 1 do
              if i = t.rank then t.acc <- Some h.centries.(i)
-             else if not h.dead.(i) then t.slots.(i) <- Some h.centries.(i)
+             else if not h.dead.(i) then (slots t).(i) <- Some h.centries.(i)
            done);
       t.expect_up <- child_count_of t;
       t.expect_down <- (if t.rank = t.root then 0 else 1);
@@ -1090,7 +1100,7 @@ let begin_op t op ~root finish =
       t.mc <- Array.length (Netdb.members t.db t.c_me);
       t.base <- Netdb.position t.db (croot t t.c_me);
       t.v_me <- (Netdb.position t.db t.rank - t.base + t.mc) mod t.mc;
-      Array.fill t.slots 0 t.n None;
+      clear_slots t;
       t.acc <- None;
       (match t.heal with
        | None ->
@@ -1208,7 +1218,7 @@ let igather t ~root payload k =
             in
             let missing = ref (-1) in
             for i = t.n - 1 downto 0 do
-              if (not (is_dead i)) && t.slots.(i) = None then missing := i
+              if (not (is_dead i)) && (slots t).(i) = None then missing := i
             done;
             if !missing >= 0 then
               k
@@ -1221,7 +1231,7 @@ let igather t ~root payload k =
                 (Ok
                    (Some
                       (Array.init t.n (fun i ->
-                           match t.slots.(i) with
+                           match (slots t).(i) with
                            | Some p -> p
                            | None ->
                              (* evicted rank: zero-length placeholder *)
@@ -1229,7 +1239,7 @@ let igather t ~root payload k =
           end
         | Error e -> k (Error e))
   then begin
-    t.slots.(t.rank) <- Some payload;
+    (slots t).(t.rank) <- Some payload;
     (match t.heal with Some h -> h.contrib <- Some payload | None -> ());
     kickoff t
   end
@@ -1255,7 +1265,7 @@ let iscatter t ~root payloads k =
       for i = 0 to t.n - 1 do
         if not (is_dead i) then
           if i = t.rank then t.acc <- Some payloads.(i)
-          else t.slots.(i) <- Some payloads.(i)
+          else (slots t).(i) <- Some payloads.(i)
       done;
       match t.heal with
       | Some h -> h.centries <- Array.copy payloads
@@ -1304,7 +1314,7 @@ let create ?(strategy = Multilevel) ?deadline_ns ?heal padico ~name nodes =
        let node = Ct.node ct in
        let t =
          { gname = name; strategy; deadline_ns; clk = Node.clock node; ct;
-           db = db0; rank; n; wmsgs; wbytes; slots = Array.make n None;
+           db = db0; rank; n; wmsgs; wbytes; slots = [||];
            pending = Queue.create (); on_sent = (fun () -> ()); heal = None;
            seq = 0; active = false; op = Barrier; root = 0; rop = Sum;
            expect_up = 0; expect_down = 0; sends_pending = 0; acc = None;

@@ -279,10 +279,25 @@ and connect_with_choice t ~src ~dst ~port choice =
 
 (* ---------- circuits ---------- *)
 
-let common_san t a b =
-  List.find_opt
-    (fun s -> is_san s)
-    (Net.links_between t.pnet a b)
+(* A pair's link is the first segment both ends share in the order
+   [Net.links_between] ranks them, preferring SANs: the fastest common
+   SAN, else the fastest common network. Per node, that is its segments
+   sorted SANs first, then by decreasing bandwidth (stable over
+   attachment order). *)
+let link_preference t node =
+  List.stable_sort
+    (fun s1 s2 ->
+       match (is_san s1, is_san s2) with
+       | true, false -> -1
+       | false, true -> 1
+       | _ ->
+         compare
+           (Segment.model s2).Linkmodel.bandwidth_bps
+           (Segment.model s1).Linkmodel.bandwidth_bps)
+    (node_segments t node)
+
+(* A segment some member is attached to, with those members' ranks. *)
+type seg_entry = { k : int; seg : Segment.t; mutable ranks : int list }
 
 let circuit t ~name nodes =
   let group = Array.of_list nodes in
@@ -294,83 +309,117 @@ let circuit t ~name nodes =
   let port_base = t.next_circuit_port in
   (* one shared TCP port + one pstream port per directed pair *)
   t.next_circuit_port <- t.next_circuit_port + 1 + (n * n);
-  let cts = Array.init n (fun rank -> Ct.create ~group ~rank ~name) in
+  let cts = Ct.create_all ~group ~name in
   let pair_port i j = port_base + 1 + (i * n) + j in
+  (* Segment -> attached ranks, from one walk over each member's
+     segments. A node's private loopback never links it to another node
+     (co-located ranks are matched by node identity), so it is left out. *)
+  let by_uid : (int, seg_entry) Hashtbl.t = Hashtbl.create 8 in
+  let created = ref [] in
+  let rec attach r own_loop = function
+    | [] -> ()
+    | seg :: rest ->
+      let uid = Segment.uid seg in
+      (if uid <> own_loop then
+         match Hashtbl.find_opt by_uid uid with
+         | Some e -> e.ranks <- r :: e.ranks
+         | None ->
+           let e = { k = Hashtbl.length by_uid; seg; ranks = [ r ] } in
+           Hashtbl.replace by_uid uid e;
+           created := e :: !created);
+      attach r own_loop rest
+  in
+  for r = n - 1 downto 0 do
+    attach r
+      (Segment.uid (Net.loopback_of t.pnet group.(r)))
+      (node_segments t group.(r))
+  done;
+  let entries = Array.of_list (List.rev !created) in
+  (* Per-member scratch, reused across members: the chosen segment per
+     peer, the peers grouped per segment, and the order in which each
+     transport's segments first appear — the order their adapters bind. *)
+  let choice = Array.make n (-1) in
+  let bucket = Array.make (Array.length entries) [] in
+  let madio_segs : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let sysio_segs : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let rec claim k = function
+    | [] -> ()
+    | j :: rest ->
+      if choice.(j) < 0 then choice.(j) <- k;
+      claim k rest
+  in
+  let prefer seg =
+    match Hashtbl.find_opt by_uid (Segment.uid seg) with
+    | Some e -> claim e.k e.ranks
+    | None -> () (* the node's private loopback *)
+  in
+  let loopback = ref [] in
+  let add_to segs k j =
+    (match bucket.(k) with
+     | [] -> Hashtbl.replace segs (Segment.uid entries.(k).seg) k
+     | _ :: _ -> ());
+    bucket.(k) <- j :: bucket.(k)
+  in
   for i = 0 to n - 1 do
     let node_i = group.(i) in
-    (* Group SAN-reachable peers per segment so MadIO binds once. *)
-    let madio_ranks : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
-    let sysio_ranks : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
+    Array.fill choice 0 n (-1);
+    List.iter prefer (link_preference t node_i);
+    Hashtbl.reset madio_segs;
+    Hashtbl.reset sysio_segs;
+    loopback := [];
     for j = 0 to n - 1 do
       if j <> i then begin
         let node_j = group.(j) in
-        if Node.uid node_i = Node.uid node_j then
-          Circuit.Ct_loopback.bind cts.(i) ~dst:j
+        if Node.uid node_i = Node.uid node_j then loopback := j :: !loopback
         else
-          match common_san t node_i node_j with
-          | Some seg ->
-            let key = Segment.uid seg in
-            let ranks =
-              (* Host backend: the SAN pair rides SysIO streams too. *)
-              if t.pbackend = Sim then madio_ranks else sysio_ranks
-            in
-            (match Hashtbl.find_opt ranks key with
-             | Some l -> l := j :: !l
-             | None -> Hashtbl.replace ranks key (ref [ j ]))
-          | None ->
-            let best = Net.best_link t.pnet node_i node_j in
-            (match best with
-             | Some seg
-               when (Segment.model seg).Linkmodel.class_ = Linkmodel.Wan
-                    && t.pprefs.Prefs.pstream_on_wan ->
-               (* WAN link: circuit over a parallel-streams VLink. The
-                  lower rank connects, the higher accepts; the per-pair
-                  port disambiguates. *)
-               let sio = sysio node_i in
-               let stack = Sysio.stack_on sio seg in
-               if i < j then begin
-                 let vl =
-                   Vlink.Vl_pstream.connect sio stack ~dst:(Node.id node_j)
-                     ~port:(pair_port i j) ~streams:t.pprefs.Prefs.pstream_streams
-                 in
-                 Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl
-               end
-               else
-                 Vlink.Vl_pstream.listen sio stack ~port:(pair_port j i)
-                   (fun vl -> Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl)
-             | Some seg ->
-               let key = Segment.uid seg in
-               (match Hashtbl.find_opt sysio_ranks key with
-                | Some l -> l := j :: !l
-                | None -> Hashtbl.replace sysio_ranks key (ref [ j ]))
-             | None ->
-               failwith
-                 (Printf.sprintf
-                    "Padico.circuit: no common network between %s and %s"
-                    (Node.name node_i) (Node.name node_j)))
+          let k = choice.(j) in
+          if k < 0 then
+            failwith
+              (Printf.sprintf
+                 "Padico.circuit: no common network between %s and %s"
+                 (Node.name node_i) (Node.name node_j));
+          let seg = entries.(k).seg in
+          if is_san seg then
+            (* Host backend: the SAN pair rides SysIO streams too. *)
+            add_to (if t.pbackend = Sim then madio_segs else sysio_segs) k j
+          else if (Segment.model seg).Linkmodel.class_ = Linkmodel.Wan
+               && t.pprefs.Prefs.pstream_on_wan
+          then begin
+            (* WAN link: circuit over a parallel-streams VLink. The lower
+               rank connects, the higher accepts; the per-pair port
+               disambiguates. *)
+            let sio = sysio node_i in
+            let stack = Sysio.stack_on sio seg in
+            if i < j then begin
+              let vl =
+                Vlink.Vl_pstream.connect sio stack ~dst:(Node.id node_j)
+                  ~port:(pair_port i j) ~streams:t.pprefs.Prefs.pstream_streams
+              in
+              Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl
+            end
+            else
+              Vlink.Vl_pstream.listen sio stack ~port:(pair_port j i)
+                (fun vl -> Circuit.Ct_vlink.bind_link cts.(i) ~dst:j vl)
+          end
+          else add_to sysio_segs k j
       end
     done;
-    (* Bind grouped adapters. *)
-    (* The segment is attached to [node_i] by construction: resolve its uid
-       through the node's own adjacency, not the whole grid. *)
-    let seg_of_uid uid =
-      List.find
-        (fun s -> Segment.uid s = uid)
-        (Net.segments_of t.pnet node_i)
-    in
+    (match !loopback with
+     | [] -> ()
+     | ranks -> Circuit.Ct_loopback.bind cts.(i) ~ranks);
     Hashtbl.iter
-      (fun seg_uid ranks ->
-         Circuit.Ct_madio.bind cts.(i)
-           (madio t node_i (seg_of_uid seg_uid))
-           ~lchannel_id:lchan ~ranks:!ranks)
-      madio_ranks;
+      (fun _ k ->
+         Circuit.Ct_madio.bind cts.(i) (madio t node_i entries.(k).seg)
+           ~lchannel_id:lchan ~ranks:bucket.(k);
+         bucket.(k) <- [])
+      madio_segs;
     Hashtbl.iter
-      (fun seg_uid ranks ->
+      (fun _ k ->
          let sio = sysio node_i in
-         Circuit.Ct_sysio.bind cts.(i) sio
-           (Sysio.stack_on sio (seg_of_uid seg_uid))
-           ~port:port_base ~ranks:!ranks)
-      sysio_ranks
+         Circuit.Ct_sysio.bind cts.(i) sio (Sysio.stack_on sio entries.(k).seg)
+           ~port:port_base ~ranks:bucket.(k);
+         bucket.(k) <- [])
+      sysio_segs
   done;
   cts
 

@@ -193,14 +193,22 @@ let publish_lb sh v =
     Atomic.set sh.lb v
   end
 
-(* Consumer-side: move every visible frame of [c] into its stage heap.
+(* Consumer-side: move every visible frame of [c] into [sh]'s stage heap.
    Returns the number of frames drained. Only the owning worker touches
-   [head] and [stage]. *)
-let drain_channel t c =
+   [head] and [stage]. The shard marks itself active {e before} the
+   frames' in-flight counts leave [work], and from the same [tail] read
+   that sizes the drain: a frame posted after any earlier look at the
+   ring is still covered, so [work] never dips to 0 while a drained
+   frame waits on the stage. *)
+let drain_channel t sh c =
   let tail = Atomic.get c.tail in
   let head = Atomic.get c.head in
   let n = tail - head in
   if n > 0 then begin
+    if not sh.was_active then begin
+      sh.was_active <- true;
+      Atomic.incr t.work
+    end;
     for k = head to tail - 1 do
       let slot = k land mask c in
       (match c.ring.(slot) with
@@ -210,11 +218,17 @@ let drain_channel t c =
        | None -> assert false)
     done;
     Atomic.set c.head tail;
-    (* Frames left flight; they are now covered by the consumer's active
-       state (the caller pre-marked itself active before draining). *)
     ignore (Atomic.fetch_and_add t.work (-n))
   end;
   n
+
+let drain_inbox t sh =
+  let n = ref 0 in
+  Array.iteri
+    (fun j c ->
+       if j <> sh.idx && c.look <> max_int then n := !n + drain_channel t sh c)
+    sh.inbox;
+  !n
 
 (* Smallest staged frame across the inbox, canonical (ts, src) order:
    strict [<] over ascending source index realises the src tie-break. *)
@@ -238,19 +252,6 @@ let min_staged sh =
 let round t sh ~until =
   let progress = ref false in
   flush_overflow sh;
-  (* Pre-mark active when frames are visible, before their in-flight
-     counts drop in [drain_channel] — keeps [work] from dipping to 0
-     while the frames are being moved to the stage. *)
-  let inbound =
-    Array.exists
-      (fun c ->
-         c.look <> max_int && Atomic.get c.tail - Atomic.get c.head > 0)
-      sh.inbox
-  in
-  if inbound && not sh.was_active then begin
-    sh.was_active <- true;
-    Atomic.incr t.work
-  end;
   (* Snapshot bounds FIRST, then drain: any frame posted before our lb
      reads is visible to the drain; any frame posted after satisfies
      ts >= read lb + lookahead >= horizon. *)
@@ -262,11 +263,7 @@ let round t sh ~until =
          if b < !horizon then horizon := b
        end)
     sh.inbox;
-  Array.iteri
-    (fun j c ->
-       if j <> sh.idx && c.look <> max_int then
-         if drain_channel t c > 0 then progress := true)
-    sh.inbox;
+  if drain_inbox t sh > 0 then progress := true;
   let executed = ref 0 in
   let continue = ref true in
   while !continue do
@@ -326,6 +323,11 @@ let round t sh ~until =
   end;
   !progress
 
+(* The idle worker's termination test. *)
+let idle_check t =
+  if Atomic.get t.work = 0 then Atomic.set t.finished true;
+  Atomic.get t.finished
+
 let worker t ~until ids =
   try
     let idle = ref 0 in
@@ -341,7 +343,7 @@ let worker t ~until ids =
       if !progress then idle := 0
       else begin
         incr idle;
-        if Atomic.get t.work = 0 then Atomic.set t.finished true
+        if idle_check t then ()
         else if !idle < 32 then Domain.cpu_relax ()
         else
           (* Oversubscribed (more domains than cores) or genuinely
@@ -419,3 +421,12 @@ let run ?(domains = 1) ?until t =
 let stop t = Atomic.set t.stop_flag true
 
 let stopped t = Atomic.get t.stop_flag
+
+module Step = struct
+  let drain t i = drain_inbox t t.shards.(i)
+
+  let round t i ~until = round t t.shards.(i) ~until
+  let idle_check = idle_check
+  let work t = Atomic.get t.work
+  let finished t = Atomic.get t.finished
+end

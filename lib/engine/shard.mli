@@ -65,3 +65,27 @@ val executed : t -> int -> int
 
 val posted : t -> int -> int
 (** Cross-shard frames posted by shard [i] since creation. *)
+
+(** {1 Protocol steps (tests)}
+
+    The pieces a worker's scheduling loop is made of, callable one at a
+    time from a single domain so a test can replay an interleaving that
+    real parallelism produces only by chance. *)
+module Step : sig
+  val drain : t -> int -> int
+  (** Move every frame visible in shard [i]'s inbound rings to its stage
+      — the part of a scheduling round that follows the horizon
+      snapshot. Returns the number of frames moved. *)
+
+  val round : t -> int -> until:int -> bool
+  (** One full scheduling round of shard [i]; [true] on progress. *)
+
+  val idle_check : t -> bool
+  (** An idle worker's termination test: sets the finished latch when the
+      quiescence ledger reads 0. Returns the latch. *)
+
+  val work : t -> int
+  (** The quiescence ledger: active shards plus frames in flight. *)
+
+  val finished : t -> bool
+end

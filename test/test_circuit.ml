@@ -191,6 +191,173 @@ let test_errors () =
     (fun () -> ignore (Ct.link_adapter_name bare ~dst:1));
   Tutil.run_grid grid
 
+(* ---------- link choice ---------- *)
+
+module Net = Simnet.Net
+module Node = Simnet.Node
+module Segment = Simnet.Segment
+module Linkmodel = Simnet.Linkmodel
+
+(* The pair rule stated over [Net.links_between] (segments both ends
+   share, by decreasing bandwidth, stable over attachment order): the
+   same node is loopback; else the first SAN (MadIO, or SysIO streams on
+   the host backend); else the best link, striped over parallel streams
+   when it is a WAN and the preferences ask for it. *)
+let reference_adapter grid ~pstream group i j =
+  let a = group.(i) and b = group.(j) in
+  if Node.uid a = Node.uid b then "loopback"
+  else
+    let class_ s = (Segment.model s).Linkmodel.class_ in
+    let links = Net.links_between (Padico.net grid) a b in
+    match List.find_opt (fun s -> class_ s = Linkmodel.San) links with
+    | Some _ -> if Padico.backend grid = Padico.Sim then "madio" else "sysio"
+    | None -> (
+      match links with
+      | s :: _ when class_ s = Linkmodel.Wan && pstream -> "vlink"
+      | _ :: _ -> "sysio"
+      | [] -> Alcotest.failf "no common network between ranks %d and %d" i j)
+
+(* SAN islands (one node on two SANs of different speeds, one pair
+   sharing two SANs), a gigabit LAN that out-runs one of the SANs, an
+   Ethernet LAN tying the WAN's bandwidth on each side of it in insertion
+   order, a WAN over everything, and two ranks on one node (one with no
+   SAN: co-located members cannot share one MadIO logical channel). *)
+let mixed_topology grid =
+  let node = Padico.add_node grid in
+  let a1 = node "a1" and a2 = node "a2" and a3 = node "a3" and m = node "m" in
+  let b1 = node "b1" and b2 = node "b2" in
+  let c1 = node "c1" and c2 = node "c2" and d = node "d" in
+  let seg model name nodes =
+    ignore (Padico.add_segment grid model ~name nodes)
+  in
+  seg Simnet.Presets.myrinet2000 "san0" [ a1; a2; a3; m ];
+  seg Simnet.Presets.sci "san1" [ m; b1; b2 ];
+  seg Simnet.Presets.sci "san2" [ a1; m ];
+  seg Simnet.Presets.gigabit_lan "lan-fast" [ a1; b1; c1; m ];
+  seg Simnet.Presets.ethernet100 "lan-tie-before" [ c1; c2 ];
+  seg Simnet.Presets.vthd "wan" [ a1; a2; a3; m; b1; b2; c1; c2; d ];
+  seg Simnet.Presets.ethernet100 "lan-tie-after" [ c2; d ];
+  [ a1; a2; a3; m; b1; b2; c1; c2; d; d ]
+
+let test_link_choice_equivalence () =
+  List.iter
+    (fun (backend, pstream) ->
+       let label =
+         Printf.sprintf "%s, pstream %b"
+           (if backend = Padico.Sim then "sim" else "host")
+           pstream
+       in
+       let prefs =
+         { Selector.Prefs.default with Selector.Prefs.pstream_on_wan = pstream }
+       in
+       let grid = Padico.create ~prefs ~backend () in
+       let nodes = mixed_topology grid in
+       let group = Array.of_list nodes in
+       let n = Array.length group in
+       let cts = Padico.circuit grid ~name:"choice" nodes in
+       let expected i j = reference_adapter grid ~pstream group i j in
+       let check i j =
+         Tutil.check_string
+           (Printf.sprintf "%s: link %d -> %d" label i j)
+           (expected i j)
+           (Ct.link_adapter_name cts.(i) ~dst:j)
+       in
+       let accept_side i j = expected i j = "vlink" && i > j in
+       (* Every link is bound at construction except the accepting end of
+          a striped WAN pair, which binds when the connection arrives. *)
+       for i = 0 to n - 1 do
+         for j = 0 to n - 1 do
+           if i <> j then
+             if accept_side i j then
+               match Ct.link_adapter_name cts.(i) ~dst:j with
+               | exception Invalid_argument _ -> ()
+               | name ->
+                 Alcotest.failf "%s: link %d -> %d bound to %s before accept"
+                   label i j name
+             else check i j
+         done
+       done;
+       if backend = Padico.Sim then begin
+         (* Shared adapters must still route by destination: every rank
+            sends one message to every other rank. Remote senders skip
+            the co-located pair: the members of one node share its
+            circuit port, so a remote stream cannot tell them apart. *)
+         let shares_node j =
+           Array.exists (fun r -> r <> j && Node.uid group.(r) = Node.uid group.(j))
+             (Array.init n Fun.id)
+         in
+         let talks i j =
+           i <> j
+           && (Node.uid group.(i) = Node.uid group.(j) || not (shares_node j))
+         in
+         let inboxes = Array.init n (fun _ -> ref []) in
+         Array.iteri (fun r ct -> collect_msgs ct inboxes.(r)) cts;
+         for i = 0 to n - 1 do
+           for j = 0 to n - 1 do
+             if talks i j then
+               send cts.(i) ~dst:j ~tag:((i * n) + j) (Bb.of_string "x")
+           done
+         done;
+         Tutil.run_grid grid;
+         for i = 0 to n - 1 do
+           for j = 0 to n - 1 do
+             if i <> j then check i j
+           done
+         done;
+         Array.iteri
+           (fun j inbox ->
+              let got =
+                List.sort compare
+                  (List.map (fun (src, tag, _) -> (src, tag)) !inbox)
+              in
+              let want =
+                List.filter_map
+                  (fun i -> if talks i j then Some (i, (i * n) + j) else None)
+                  (List.init n Fun.id)
+              in
+              Alcotest.(check (list (pair int int)))
+                (Printf.sprintf "%s: rank %d inbox" label j)
+                want got)
+           inboxes
+       end)
+    [ (Padico.Sim, false); (Padico.Sim, true); (Padico.Host, false);
+      (Padico.Host, true) ]
+
+(* ---------- construction cost ---------- *)
+
+(* Deterministic GC word counts, not wall time: words allocated while
+   building the circuit, and words still live once it is built, both per
+   ordered member pair. *)
+let circuit_cost ~clusters ~nodes_per_cluster =
+  let g = Scenario.Gridgen.generate ~clusters ~nodes_per_cluster () in
+  let n = clusters * nodes_per_cluster in
+  let pairs = float_of_int (n * (n - 1)) in
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  let mi0, pr0, ma0 = Gc.counters () in
+  let cts = Padico.circuit g.Scenario.Gridgen.grid ~name:"cost" g.nodes in
+  let mi1, pr1, ma1 = Gc.counters () in
+  Gc.full_major ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity (g, cts));
+  let alloc_words = mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0) in
+  let word = float_of_int (Sys.word_size / 8) in
+  ( alloc_words /. pairs,
+    float_of_int (live1 - live0) *. word /. pairs )
+
+let test_construction_cost () =
+  let small_alloc, _ = circuit_cost ~clusters:2 ~nodes_per_cluster:64 in
+  Padico.reset ();
+  let big_alloc, big_live = circuit_cost ~clusters:8 ~nodes_per_cluster:128 in
+  Padico.reset ();
+  if big_live > 48.0 then
+    Alcotest.failf "live bytes per pair at 1024 ranks: %.1f > 48" big_live;
+  if big_alloc > 1.5 *. small_alloc then
+    Alcotest.failf
+      "allocated words per pair grow with the group: %.2f at 1024 ranks vs \
+       %.2f at 128 (bound 1.5x)"
+      big_alloc small_alloc
+
 let () =
   Alcotest.run "circuit"
     [ ("api",
@@ -207,7 +374,12 @@ let () =
          Alcotest.test_case "pstream vlink on WAN" `Quick
            test_pstream_vlink_adapter_on_wan;
          Alcotest.test_case "mixed adapters" `Quick
-           test_mixed_adapters_one_circuit ]);
+           test_mixed_adapters_one_circuit;
+         Alcotest.test_case "link choice matches the pair rule" `Quick
+           test_link_choice_equivalence ]);
+      ("scale",
+       [ Alcotest.test_case "construction cost per member pair" `Quick
+           test_construction_cost ]);
       ("traffic",
        [ Alcotest.test_case "bidirectional" `Quick test_bidirectional_traffic;
          Alcotest.test_case "ordering" `Quick test_ordering_per_link ]);
