@@ -158,7 +158,13 @@ let run () =
        Bhelp.record ~experiment:"e13" (op ^ ".ml.wan_msgs")
          (float_of_int m.msgs);
        Bhelp.record ~experiment:"e13" (op ^ ".ml.wan_bytes")
-         (float_of_int m.bytes))
+         (float_of_int m.bytes);
+       Bhelp.record ~experiment:"e13" (op ^ ".flat.completion_ns")
+         (float_of_int f.ns);
+       Bhelp.record ~experiment:"e13" (op ^ ".ml.completion_ns")
+         (float_of_int m.ns);
+       Bhelp.record ~experiment:"e13" (op ^ ".completion_ratio")
+         (ratio f.ns m.ns))
     flat ml;
   let f_bcast = List.assoc "bcast" flat and m_bcast = List.assoc "bcast" ml in
   let msg_ratio =

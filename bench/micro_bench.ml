@@ -90,12 +90,44 @@ let test_streamq_shallow = streamq_test q_shallow "streamq.pop depth=1k"
 
 let test_streamq_deep = streamq_test q_deep "streamq.pop depth=64k"
 
+(* Payload kernels. [equal] compares two distinct buffers with the same
+   contents, so it walks every byte; the i64 codec row stores then loads
+   1000 values at unaligned offsets. *)
+let payload_4k = Bb.sub payload_64k 0 4096
+
+let payload_4k_twin = Bb.copy payload_4k
+
+let test_bb_equal =
+  Test.make ~name:"bytebuf.equal 4KB"
+    (Staged.stage (fun () -> ignore (Bb.equal payload_4k payload_4k_twin)))
+
+let test_bb_checksum =
+  Test.make ~name:"bytebuf.checksum 64KB"
+    (Staged.stage (fun () -> ignore (Bb.checksum payload_64k)))
+
+let test_bb_copy =
+  Test.make ~name:"bytebuf.copy 64KB"
+    (Staged.stage (fun () -> ignore (Bb.copy payload_64k)))
+
+let codec_buf = Bb.create 8_008
+
+let test_bb_i64 =
+  Test.make ~name:"bytebuf i64 set+get x1000"
+    (Staged.stage (fun () ->
+         for i = 0 to 999 do
+           let off = (i * 8) + 3 in
+           Bb.set_i64 codec_buf off (Int64.of_int i);
+           ignore (Bb.get_i64 codec_buf off)
+         done))
+
 let benchmark () =
   let tests =
-    Test.make_grouped ~name:"padico"
+    (* Bare row names: they are the micro.<row> result keys. *)
+    Test.make_grouped ~name:"" ~fmt:"%s%s"
       [ test_lz_compress; test_lz_decompress; test_cdr_encode_zero_copy;
         test_cdr_encode_copying; test_crypto; test_heap; test_base64;
-        test_streamq_shallow; test_streamq_deep ]
+        test_streamq_shallow; test_streamq_deep; test_bb_equal;
+        test_bb_checksum; test_bb_copy; test_bb_i64 ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
@@ -119,7 +151,9 @@ let run () =
   Hashtbl.iter
     (fun name ols ->
        match Analyze.OLS.estimates ols with
-       | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
+       | Some [ est ] ->
+         Printf.printf "%-32s %12.1f ns/run\n" name est;
+         Bhelp.record ~experiment:"micro" name est
        | _ -> Printf.printf "%-32s (no estimate)\n" name)
     results;
   (* The O(1) claim, asserted: a 64x deeper queue must not make the

@@ -509,17 +509,47 @@ let maybe_complete t =
     k (Ok ())
   end
 
-(* Byte-wise fold of a received contribution into the accumulator; the
-   operators are associative and commutative so tree shape cannot change
-   the result. *)
+(* Fold a received contribution into the accumulator; the operators are
+   associative and commutative so tree shape cannot change the result.
+   Bxor and Sum go eight bytes per step, then the tail one byte at a time.
+   Both work lane-wise on bytes, so the result is the byte-wise one
+   whatever the machine's byte order; Sum adds the low seven bits of each
+   lane, then xors in the two top bits, so no carry crosses a lane. Max
+   takes the byte loop throughout. *)
 let apply_rop rop acc body =
-  for i = 0 to Bb.length acc - 1 do
-    let x = Bb.get_u8 acc i and y = Bb.get_u8 body i in
-    Bb.set_u8 acc i
-      (match rop with
-       | Sum -> (x + y) land 0xff
-       | Max -> if y > x then y else x
-       | Bxor -> x lxor y)
+  let n = Bb.length acc in
+  if Bb.length body <> n then invalid_arg "Group.apply_rop: length mismatch";
+  let a = acc.Bb.data and ao = acc.Bb.off in
+  let b = body.Bb.data and bo = body.Bb.off in
+  let words = match rop with Max -> 0 | Sum | Bxor -> n lsr 3 in
+  (let open Int64 in
+   match rop with
+   | Bxor ->
+     for k = 0 to words - 1 do
+       let i = ao + (k lsl 3) in
+       let y = Bytes.get_int64_ne b (bo + (k lsl 3)) in
+       Bytes.set_int64_ne a i (logxor (Bytes.get_int64_ne a i) y)
+     done
+   | Sum ->
+     for k = 0 to words - 1 do
+       let i = ao + (k lsl 3) in
+       let x = Bytes.get_int64_ne a i
+       and y = Bytes.get_int64_ne b (bo + (k lsl 3)) in
+       Bytes.set_int64_ne a i
+         (logxor
+            (add (logand x 0x7f7f7f7f7f7f7f7fL) (logand y 0x7f7f7f7f7f7f7f7fL))
+            (logand (logxor x y) 0x8080808080808080L))
+     done
+   | Max -> ());
+  for i = words lsl 3 to n - 1 do
+    let x = Char.code (Bytes.unsafe_get a (ao + i))
+    and y = Char.code (Bytes.unsafe_get b (bo + i)) in
+    Bytes.unsafe_set a (ao + i)
+      (Char.unsafe_chr
+         (match rop with
+          | Sum -> (x + y) land 0xff
+          | Max -> if y > x then y else x
+          | Bxor -> x lxor y))
   done
 
 let slots t =

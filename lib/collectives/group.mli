@@ -34,7 +34,8 @@
 
     Reductions are byte-wise (every rank contributes an equal-length
     buffer), with associative-commutative operators so tree shape cannot
-    change the result.
+    change the result. [Sum] and [Bxor] are computed eight bytes at a
+    time, with results identical to the byte-at-a-time definition.
 
     {2 Self-healing membership}
 

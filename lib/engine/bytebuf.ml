@@ -52,9 +52,8 @@ let concat parts =
   out
 
 let copy b =
-  let out = create b.len in
-  blit ~src:b ~src_off:0 ~dst:out ~dst_off:0 ~len:b.len;
-  out
+  ignore (Atomic.fetch_and_add copied b.len);
+  { data = Bytes.sub b.data b.off b.len; off = 0; len = b.len }
 
 let fill_pattern b ~seed =
   for i = 0 to b.len - 1 do
@@ -69,20 +68,27 @@ let fill_random b rng =
     Bytes.unsafe_set b.data (b.off + i) (Char.chr (Rng.int rng 256))
   done
 
-let equal a b =
-  a.len = b.len
-  &&
-  let rec go i =
-    i >= a.len
-    || (Bytes.get a.data (a.off + i) = Bytes.get b.data (b.off + i)
-        && go (i + 1))
-  in
-  go 0
+(* Unchecked word load: a [t]'s [off]/[len] always lie inside [data]. The
+   checked [Bytes.get_int64_ne] makes [equal] on 4 KB over twice as slow. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* Eight bytes per step, then the tail; [n] bytes remain from [i]/[j]. *)
+let rec equal_from da i db j n =
+  if n >= 8 then
+    get64u da i = get64u db j && equal_from da (i + 8) db (j + 8) (n - 8)
+  else
+    n = 0
+    || Bytes.unsafe_get da i = Bytes.unsafe_get db j
+       && equal_from da (i + 1) db (j + 1) (n - 1)
+
+let equal a b = a.len = b.len && equal_from a.data a.off b.data b.off a.len
 
 let checksum b =
+  if b.off < 0 || b.off + b.len > Bytes.length b.data then
+    invalid_arg "Bytebuf.checksum";
   let h = ref 0x3bf29ce484222325 in
-  for i = 0 to b.len - 1 do
-    h := (!h lxor Char.code (Bytes.get b.data (b.off + i))) * 0x100000001b3
+  for i = b.off to b.off + b.len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b.data i)) * 0x100000001b3
   done;
   !h land max_int
 
@@ -195,23 +201,31 @@ let get_u8 b i = Char.code (get b i)
 
 let set_u8 b i v = set b i (Char.chr (v land 0xff))
 
-let get_u16 b i = get_u8 b i lor (get_u8 b (i + 1) lsl 8)
+(* Multi-byte codecs: one range check, then one little-endian access, so an
+   out-of-range store raises before writing anything. *)
+let check_range name b i width =
+  if i < 0 || i > b.len - width then invalid_arg name
+
+let get_u16 b i =
+  check_range "Bytebuf.get_u16" b i 2;
+  Bytes.get_uint16_le b.data (b.off + i)
 
 let set_u16 b i v =
-  set_u8 b i (v land 0xff);
-  set_u8 b (i + 1) ((v lsr 8) land 0xff)
+  check_range "Bytebuf.set_u16" b i 2;
+  Bytes.set_uint16_le b.data (b.off + i) v
 
-let get_u32 b i = get_u16 b i lor (get_u16 b (i + 2) lsl 16)
+let get_u32 b i =
+  check_range "Bytebuf.get_u32" b i 4;
+  Int32.to_int (Bytes.get_int32_le b.data (b.off + i)) land 0xffff_ffff
 
 let set_u32 b i v =
-  set_u16 b i (v land 0xffff);
-  set_u16 b (i + 2) ((v lsr 16) land 0xffff)
+  check_range "Bytebuf.set_u32" b i 4;
+  Bytes.set_int32_le b.data (b.off + i) (Int32.of_int v)
 
 let get_i64 b i =
-  let lo = Int64.of_int (get_u32 b i) in
-  let hi = Int64.of_int (get_u32 b (i + 4)) in
-  Int64.logor lo (Int64.shift_left hi 32)
+  check_range "Bytebuf.get_i64" b i 8;
+  Bytes.get_int64_le b.data (b.off + i)
 
 let set_i64 b i v =
-  set_u32 b i (Int64.to_int (Int64.logand v 0xffffffffL));
-  set_u32 b (i + 4) (Int64.to_int (Int64.shift_right_logical v 32))
+  check_range "Bytebuf.set_i64" b i 8;
+  Bytes.set_int64_le b.data (b.off + i) v

@@ -29,7 +29,8 @@ val concat : t list -> t
 (** [concat parts] copies all parts into one fresh contiguous buffer. *)
 
 val copy : t -> t
-(** Materialize a private copy (counted). *)
+(** Materialize a private copy (counted: {!copies_performed} grows by its
+    length). *)
 
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 
@@ -49,11 +50,21 @@ val fill_random : t -> Rng.t -> unit
 (** Fill with pseudo-random bytes — an incompressible payload. *)
 
 val equal : t -> t -> bool
+(** Same length and same bytes. Compares a machine word at a time and
+    allocates nothing. *)
+
 val checksum : t -> int
-(** Order-dependent FNV-1a checksum of the contents. *)
+(** Order-dependent FNV-1a checksum of the contents. Allocates nothing. *)
 
 val get : t -> int -> char
 val set : t -> int -> char -> unit
+
+(** {2 Little-endian integer codecs}
+
+    A [k]-byte access at offset [i] checks [0 <= i <= length b - k] once,
+    then does one load or store in little-endian byte order. An
+    out-of-range access raises [Invalid_argument] and a store writes
+    nothing. Stores keep the low [8k] bits of the value. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit

@@ -205,6 +205,112 @@ let test_three_cluster_allreduce () =
        | None -> Alcotest.failf "rank %d missed allreduce" r)
     results
 
+(* ---------- reduction kernels: word bodies and byte tails ---------- *)
+
+(* Byte values where a word-wide kernel could leak a carry or misjudge an
+   order: the 7-bit boundary, zero and all-ones. *)
+let corners = [| 0x00; 0x01; 0x7f; 0x80; 0x81; 0xfe; 0xff |]
+
+(* Rank [r]'s contribution: an unaligned slice of a larger buffer. Its
+   first 7^4 bytes run through every 4-tuple of corner values across the
+   ranks; the rest is random. *)
+let contribution ~len r =
+  let big = Bb.create (len + 9) in
+  Bb.fill_random big (Engine.Rng.create ((len * 8) + r));
+  let b = Bb.sub big (1 + (2 * r)) len in
+  let rec pow k = if k = 0 then 1 else 7 * pow (k - 1) in
+  for i = 0 to min len (pow 4) - 1 do
+    Bb.set_u8 b i corners.(i / pow r mod 7)
+  done;
+  b
+
+let byte_op op x y =
+  match op with
+  | Group.Sum -> (x + y) land 0xff
+  | Group.Max -> max x y
+  | Group.Bxor -> x lxor y
+
+(* The result the kernels must match: a left fold, one byte at a time. *)
+let reference_fold op parts =
+  let out = Bb.copy parts.(0) in
+  for r = 1 to Array.length parts - 1 do
+    for i = 0 to Bb.length out - 1 do
+      Bb.set_u8 out i (byte_op op (Bb.get_u8 out i) (Bb.get_u8 parts.(r) i))
+    done
+  done;
+  out
+
+let reduction_lengths = [ 1; 7; 8; 9; 4095; 4097 ]
+
+let test_reduction_kernels ?heal () =
+  let grid, nodes = four_node_grid () in
+  let members = Group.create ?heal grid ~name:"kernels" nodes in
+  let n = List.length nodes in
+  let cases =
+    List.concat_map
+      (fun len -> List.map (fun op -> (len, op)) Group.[ Sum; Max; Bxor ])
+      reduction_lengths
+  in
+  let parts =
+    List.map (fun (len, _) -> Array.init n (contribution ~len)) cases
+  in
+  let expected =
+    List.map2 (fun (_, op) ps -> reference_fold op ps) cases parts
+  in
+  let pristine = List.map (Array.map Bb.to_string) parts in
+  let got = Array.make n [] in
+  (* A healing group's detectors sweep until retired: the last rank to
+     finish retires them all so the run quiesces. *)
+  let finished = ref 0 in
+  let handles =
+    List.mapi
+      (fun r node ->
+         Padico.spawn grid node ~name:(Printf.sprintf "rank%d" r) (fun () ->
+             let g = members.(r) in
+             List.iter2
+               (fun (_, op) ps ->
+                  let all = Group.allreduce g ~op ps.(r) in
+                  let red = Group.reduce g ~root:(n - 1) ~op ps.(r) in
+                  got.(r) <- (all, red) :: got.(r))
+               cases parts;
+             incr finished;
+             if !finished = n then Array.iter Group.retire members))
+      nodes
+  in
+  Tutil.run_grid grid;
+  List.iter Tutil.assert_done handles;
+  List.iter2
+    (fun ps orig ->
+       Array.iteri
+         (fun r p ->
+            Tutil.check_string "contribution left untouched" orig.(r)
+              (Bb.to_string p))
+         ps)
+    parts pristine;
+  Array.iteri
+    (fun r results ->
+       List.iter2
+         (fun ((len, op), want) (all, red) ->
+            let what =
+              Printf.sprintf "rank %d, %s over %d B" r
+                (match op with
+                 | Group.Sum -> "sum"
+                 | Group.Max -> "max"
+                 | Group.Bxor -> "bxor")
+                len
+            in
+            Tutil.check_string ("allreduce " ^ what) (Bb.to_string want)
+              (Bb.to_string all);
+            match red with
+            | Some p when r = n - 1 ->
+              Tutil.check_string ("reduce " ^ what) (Bb.to_string want)
+                (Bb.to_string p)
+            | None when r <> n - 1 -> ()
+            | _ -> Alcotest.failf "reduce result misplaced: %s" what)
+         (List.combine cases expected)
+         (List.rev results))
+    got
+
 (* ---------- WAN crossing accounting ---------- *)
 
 let test_wan_counts () =
@@ -297,6 +403,11 @@ let () =
          Alcotest.test_case "three clusters" `Quick
            test_three_cluster_allreduce;
          Alcotest.test_case "strategies agree" `Quick test_strategies_agree ]);
+      ("reduction kernels",
+       [ Alcotest.test_case "every op and tail length" `Quick
+           (fun () -> test_reduction_kernels ());
+         Alcotest.test_case "every op and tail length, healing" `Quick
+           (fun () -> test_reduction_kernels ~heal:Detect.default_config ()) ]);
       ("topology-aware",
        [ Alcotest.test_case "wan crossings" `Quick test_wan_counts;
          Alcotest.test_case "barrier round trip" `Quick

@@ -334,6 +334,173 @@ let prop_bytebuf_checksum_sensitive =
        Bb.set_u8 b i (Bb.get_u8 b i lxor 0x5a);
        Bb.checksum b <> before)
 
+(* ---------- Bytebuf word kernels against byte-at-a-time references ---------- *)
+
+let ref_equal a b =
+  Bb.length a = Bb.length b
+  &&
+  let same = ref true in
+  for i = 0 to Bb.length a - 1 do
+    if Bb.get a i <> Bb.get b i then same := false
+  done;
+  !same
+
+let ref_checksum b =
+  let h = ref 0x3bf29ce484222325 in
+  for i = 0 to Bb.length b - 1 do
+    h := (!h lxor Bb.get_u8 b i) * 0x100000001b3
+  done;
+  !h land max_int
+
+(* Little-endian, [width] bytes at [i], one byte at a time. *)
+let ref_get b i width =
+  let v = ref 0L in
+  for k = width - 1 downto 0 do
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Bb.get_u8 b (i + k)))
+  done;
+  !v
+
+let ref_set b i width v =
+  for k = 0 to width - 1 do
+    Bb.set_u8 b (i + k)
+      (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * k)) 0xffL))
+  done
+
+(* The codecs under test, widened to int64 so one property covers all. *)
+let codecs =
+  [ ("u16", 2, (fun b i -> Int64.of_int (Bb.get_u16 b i)),
+     fun b i v -> Bb.set_u16 b i (Int64.to_int v));
+    ("u32", 4, (fun b i -> Int64.of_int (Bb.get_u32 b i)),
+     fun b i v -> Bb.set_u32 b i (Int64.to_int v));
+    ("i64", 8, Bb.get_i64, Bb.set_i64) ]
+
+(* A [len]-byte slice at odd offset [off] of a larger random buffer. *)
+let slice ~seed ~off len =
+  let big = Bb.create (off + len + 5) in
+  Bb.fill_random big (Engine.Rng.create seed);
+  Bb.sub big off len
+
+let kernel_case =
+  QCheck.(
+    make
+      ~print:(fun (len, oa, ob, seed) ->
+          Printf.sprintf "len=%d off_a=%d off_b=%d seed=%d" len oa ob seed)
+      Gen.(
+        quad
+          (oneof [ int_range 0 70; int_range 4095 4097 ])
+          (map (fun k -> (2 * k) + 1) (int_range 0 7))
+          (map (fun k -> (2 * k) + 1) (int_range 0 7))
+          small_nat))
+
+let flip b i = Bb.set_u8 b i (Bb.get_u8 b i lxor 0x5a)
+
+let prop_equal_matches_reference =
+  QCheck.Test.make ~name:"equal matches the byte-wise reference" ~count:300
+    kernel_case (fun (len, oa, ob, seed) ->
+        let a = slice ~seed ~off:oa len in
+        let b = slice ~seed:(seed + 1) ~off:ob len in
+        Bb.blit_dma ~src:a ~src_off:0 ~dst:b ~dst_off:0 ~len;
+        let agree () = Bb.equal a b = ref_equal a b && Bb.equal b a = Bb.equal a b in
+        Bb.equal a b && agree ()
+        (* first byte, both sides of the first word boundary, the last
+           tail byte and the middle *)
+        && List.for_all
+             (fun i ->
+                i < 0 || i >= len
+                ||
+                (flip b i;
+                 let ok = (not (Bb.equal a b)) && agree () in
+                 flip b i;
+                 ok))
+             [ 0; 7; 8; len / 2; len - 1 ]
+        && (len = 0 || not (Bb.equal a (Bb.sub a 0 (len - 1)))))
+
+let prop_checksum_matches_reference =
+  QCheck.Test.make ~name:"checksum matches the byte-wise reference" ~count:300
+    kernel_case (fun (len, oa, _, seed) ->
+        let b = slice ~seed ~off:oa len in
+        Bb.checksum b = ref_checksum b
+        && Bb.checksum b = Bb.checksum (Bb.of_string (Bb.to_string b)))
+
+let prop_copy_matches_reference =
+  QCheck.Test.make ~name:"copy is private, exact and counted" ~count:300
+    kernel_case (fun (len, oa, _, seed) ->
+        let b = slice ~seed ~off:oa len in
+        let before = Bb.to_string b in
+        let c0 = Bb.copies_performed () in
+        let c = Bb.copy b in
+        let counted = Bb.copies_performed () - c0 in
+        counted = len && Bb.length c = len
+        && Bb.to_string c = before
+        && (len = 0 || (flip c 0; flip c (len - 1); Bb.to_string b = before)))
+
+let prop_codecs_match_reference =
+  QCheck.Test.make ~name:"u16/u32/i64 codecs match the byte-wise reference"
+    ~count:300 kernel_case (fun (len, oa, _, seed) ->
+        let b = slice ~seed ~off:oa len in
+        let rng = Engine.Rng.create (seed + 7) in
+        List.for_all
+          (fun (_, width, get, set) ->
+             let mask =
+               if width = 8 then (-1L)
+               else Int64.pred (Int64.shift_left 1L (8 * width))
+             in
+             List.for_all
+               (fun i ->
+                  i < 0 || i > len - width
+                  ||
+                  let v = Engine.Rng.int64 rng in
+                  let x = Bb.copy b and y = Bb.copy b in
+                  set x i v;
+                  ref_set y i width v;
+                  get b i = ref_get b i width
+                  && Bb.to_string x = Bb.to_string y
+                  && get x i = Int64.logand v mask)
+               [ 0; 1; 3; 7; 8; len - width - 1; len - width ])
+          codecs)
+
+let test_bytebuf_set_out_of_range () =
+  (* A multi-byte store that does not fit raises before writing a byte. *)
+  let b = Bb.sub (Tutil.pattern_buf ~seed:9 40) 3 16 in
+  let before = Bb.to_string b in
+  List.iter
+    (fun (name, width, get, set) ->
+       List.iter
+         (fun i ->
+            let what = Printf.sprintf "%s at %d" name i in
+            (match set b i (-1L) with
+             | () -> Alcotest.failf "set_%s did not raise" what
+             | exception Invalid_argument _ -> ());
+            Tutil.check_string ("unchanged after set_" ^ what) before
+              (Bb.to_string b);
+            match get b i with
+            | _ -> Alcotest.failf "get_%s did not raise" what
+            | exception Invalid_argument _ -> ())
+         [ -1; 16 - width + 1; 16 - (width / 2); 15; 16 ])
+    codecs
+
+(* Words allocated by [calls] runs of [f], less those of an empty run. *)
+let minor_words_per_call f =
+  let calls = 1000 in
+  let run g =
+    g ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  (run f -. run (fun () -> ())) /. float_of_int calls
+
+let test_bytebuf_kernels_allocate_nothing () =
+  let a = slice ~seed:1 ~off:3 4096 in
+  let b = Bb.copy a in
+  Alcotest.(check (float 0.)) "equal: words per call" 0.
+    (minor_words_per_call (fun () -> ignore (Sys.opaque_identity (Bb.equal a b))));
+  Alcotest.(check (float 0.)) "checksum: words per call" 0.
+    (minor_words_per_call (fun () ->
+         ignore (Sys.opaque_identity (Bb.checksum a))))
+
 (* ---------- Stats ---------- *)
 
 let test_stats_summary () =
@@ -456,9 +623,15 @@ let () =
        [ Alcotest.test_case "sub/blit" `Quick test_bytebuf_sub_and_blit;
          Alcotest.test_case "concat/split" `Quick test_bytebuf_concat_split;
          Alcotest.test_case "integer accessors" `Quick test_bytebuf_ints;
-         Alcotest.test_case "copy counter" `Quick test_bytebuf_copy_counter ]);
+         Alcotest.test_case "copy counter" `Quick test_bytebuf_copy_counter;
+         Alcotest.test_case "out-of-range set writes nothing" `Quick
+           test_bytebuf_set_out_of_range;
+         Alcotest.test_case "equal and checksum allocate nothing" `Quick
+           test_bytebuf_kernels_allocate_nothing ]);
       Tutil.qsuite "bytebuf-props"
-        [ prop_bytebuf_string_roundtrip; prop_bytebuf_checksum_sensitive ];
+        [ prop_bytebuf_string_roundtrip; prop_bytebuf_checksum_sensitive;
+          prop_equal_matches_reference; prop_checksum_matches_reference;
+          prop_copy_matches_reference; prop_codecs_match_reference ];
       ("stats",
        [ Alcotest.test_case "summary" `Quick test_stats_summary;
          Alcotest.test_case "histogram" `Quick test_stats_histogram;
