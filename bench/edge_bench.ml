@@ -71,9 +71,12 @@ let run_sweep ~clients =
   done;
   let e = Gridgen.edge ~clients ~churn ~tail () in
   let active = max 1 (int_of_float (float_of_int clients *. active_frac)) in
+  let sim = Padico.sim e.Gridgen.e_grid in
+  let ev0 = Engine.Sim.executed sim in
   let t0 = Unix.gettimeofday () in
   let stats = Gridgen.run_edge ~active e in
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let events = Engine.Sim.executed sim - ev0 in
   let all = e.Gridgen.e_shards @ e.Gridgen.e_clients in
   let conns = sum_over_nodes Sysio.conn_count e.Gridgen.e_shards in
   let resident = sum_over_nodes Sysio.bytes_resident e.Gridgen.e_shards in
@@ -86,7 +89,7 @@ let run_sweep ~clients =
   in
   Gc.set gc;
   (stats, wall_ns /. float_of_int clients, conns, resident, reaped,
-   ready_depth, sources)
+   ready_depth, sources, events, wall_ns)
 
 let run_sim () =
   let sweep = [ ("1k", 1_000, 3); ("10k", 10_000, 3); ("100k", 100_000, 2) ] in
@@ -100,25 +103,28 @@ let run_sim () =
        let best = ref None in
        for _ = 1 to repeats do
          let r = run_sweep ~clients in
-         let (_, ns, _, _, _, _, _) = r in
+         let (_, ns, _, _, _, _, _, _, _) = r in
          match !best with
-         | Some (_, best_ns, _, _, _, _, _) when best_ns <= ns -> ()
+         | Some (_, best_ns, _, _, _, _, _, _, _) when best_ns <= ns -> ()
          | _ -> best := Some r
        done;
-       let stats, per_conn_ns, conns, resident, reaped, ready_depth, sources =
+       let ( stats, per_conn_ns, conns, resident, reaped, ready_depth,
+             sources, events, wall_ns ) =
          Option.get !best
        in
+       let ns_per_event = wall_ns /. float_of_int events in
        Hashtbl.replace per_conn label per_conn_ns;
        let bytes_per_conn =
          if conns = 0 then 0.0 else float_of_int resident /. float_of_int conns
        in
        Printf.printf
          "  %-5s %7d est  %6d req  %5d srv  %5d rejoin  %4d abort  %7.0f \
-          ns/conn  %6.0f B/conn  %6d reaped  ready %d/%d\n%!"
+          ns/conn  %6.0f B/conn  %6d reaped  ready %d/%d  %8d events  %5.0f \
+          ns/event\n%!"
          label stats.Gridgen.es_established stats.Gridgen.es_requests
          stats.Gridgen.es_served stats.Gridgen.es_reconnects
          stats.Gridgen.es_aborted per_conn_ns bytes_per_conn reaped
-         ready_depth sources;
+         ready_depth sources events ns_per_event;
        let rec_ k v = Bhelp.record ~experiment:"e15" (Printf.sprintf "sweep_%s.%s" label k) v in
        rec_ "established" (float_of_int stats.Gridgen.es_established);
        rec_ "requests" (float_of_int stats.Gridgen.es_requests);
@@ -131,7 +137,11 @@ let run_sim () =
        (* Idle connections cost zero per dispatch round: they are
           registered sources *off* the ready list once the run drains. *)
        rec_ "idle_ready_depth" (float_of_int ready_depth);
-       rec_ "idle_sources" (float_of_int sources))
+       rec_ "idle_sources" (float_of_int sources);
+       (* Events dispatched by the run (virtual, exact) and the wall time
+          each cost. *)
+       rec_ "events" (float_of_int events);
+       rec_ "ns_per_event" ns_per_event)
     sweep;
   let ratio1 =
     Hashtbl.find per_conn "100k" /. Hashtbl.find per_conn "1k"

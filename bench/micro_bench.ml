@@ -58,6 +58,27 @@ let test_heap =
            ignore (Engine.Heap.pop h)
          done))
 
+(* Steady state at the edge gateway's event-queue depth: 20 000 pending
+   entries, and each run schedules one event a pseudo-random delay after
+   the earliest, then dispatches the earliest (the hold model of event-queue
+   benchmarks), through the calls [Sim.step] makes. *)
+let heap_20k =
+  let h = Engine.Heap.create () in
+  for i = 0 to 19_999 do
+    Engine.Heap.push h ~prio:(i * 7919 mod 20_000) i
+  done;
+  h
+
+let hold_delay = ref 0
+
+let test_heap_deep =
+  Test.make ~name:"heap push+pop depth=20k"
+    (Staged.stage (fun () ->
+         hold_delay := (!hold_delay + 7919) mod 20_000;
+         Engine.Heap.push heap_20k
+           ~prio:(Engine.Heap.min_prio heap_20k + !hold_delay) 0;
+         ignore (Engine.Heap.pop_min heap_20k)))
+
 let test_base64 =
   Test.make ~name:"soap.base64 64KB"
     (Staged.stage (fun () ->
@@ -125,8 +146,8 @@ let benchmark () =
     (* Bare row names: they are the micro.<row> result keys. *)
     Test.make_grouped ~name:"" ~fmt:"%s%s"
       [ test_lz_compress; test_lz_decompress; test_cdr_encode_zero_copy;
-        test_cdr_encode_copying; test_crypto; test_heap; test_base64;
-        test_streamq_shallow; test_streamq_deep; test_bb_equal;
+        test_cdr_encode_copying; test_crypto; test_heap; test_heap_deep;
+        test_base64; test_streamq_shallow; test_streamq_deep; test_bb_equal;
         test_bb_checksum; test_bb_copy; test_bb_i64 ]
   in
   let ols =

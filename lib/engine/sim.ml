@@ -32,6 +32,7 @@ type t = {
   mutable policy : policy;
   mutable sched_rng : Rng.t; (* consulted only under [Random] *)
   mutable cap : Clock.t option; (* cached capability view, built on demand *)
+  mutable executed : int;
 }
 
 (* Every live simulator, so [Lifecycle.reset_registries] (= [Padico.reset])
@@ -50,7 +51,8 @@ let () =
 let create ?(seed = 42) () =
   let t =
     { clock = 0; events = Heap.create (); root_rng = Rng.create seed;
-      stopped = false; policy = Fifo; sched_rng = Rng.create 0; cap = None }
+      stopped = false; policy = Fifo; sched_rng = Rng.create 0; cap = None;
+      executed = 0 }
   in
   live := t :: !live;
   t
@@ -85,47 +87,45 @@ let pick_index t n =
   | Starve_oldest -> if n > 1 then 1 else 0
 
 let step t =
-  match t.policy with
-  | Fifo ->
-    (* Default path, byte-identical to the pre-policy simulator. *)
-    (match Heap.pop t.events with
-     | None -> false
-     | Some (time, f) ->
-       t.clock <- time;
-       f ();
-       true)
-  | _ ->
-    let n = Heap.min_count t.events in
-    if n = 0 then false
-    else begin
-      match Heap.pop_min_nth t.events (pick_index t n) with
-      | None -> false
-      | Some (time, f) ->
-        t.clock <- time;
-        f ();
-        true
-    end
+  let h = t.events in
+  if Heap.is_empty h then false
+  else begin
+    let f =
+      match t.policy with
+      | Fifo ->
+        t.clock <- Heap.min_prio h;
+        Heap.pop_min h
+      | _ ->
+        (match Heap.pop_min_nth h (pick_index t (Heap.min_count h)) with
+         | Some (time, f) ->
+           t.clock <- time;
+           f
+         | None -> assert false)
+    in
+    t.executed <- t.executed + 1;
+    f ();
+    true
+  end
+
+let executed t = t.executed
 
 let run ?until t =
   t.stopped <- false;
   let continue = ref true in
   while !continue do
-    if t.stopped then continue := false
+    if t.stopped || Heap.is_empty t.events then continue := false
     else
-      match Heap.peek_prio t.events with
-      | None -> continue := false
-      | Some time ->
-        (match until with
-         | Some u when time > u ->
-           (* Advance (never rewind) to the horizon. The guard matters when
-              a previous run was stopped beyond [u]: the old unconditional
-              assignment dragged the clock backward, so a later [at] could
-              legally schedule into what had already been the past. Both
-              exits now agree the clock is monotone: [stop] freezes it at
-              the last dispatched event, this branch clamps it forward. *)
-           if u > t.clock then t.clock <- u;
-           continue := false
-         | _ -> ignore (step t))
+      match until with
+      | Some u when Heap.min_prio t.events > u ->
+        (* Advance (never rewind) to the horizon. The guard matters when
+           a previous run was stopped beyond [u]: the old unconditional
+           assignment dragged the clock backward, so a later [at] could
+           legally schedule into what had already been the past. Both
+           exits now agree the clock is monotone: [stop] freezes it at
+           the last dispatched event, this branch clamps it forward. *)
+        if u > t.clock then t.clock <- u;
+        continue := false
+      | _ -> ignore (step t)
   done
 
 let stop t = t.stopped <- true

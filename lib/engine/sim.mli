@@ -70,6 +70,11 @@ val step : t -> bool
 (** [step t] dispatches one event — chosen by the active policy among the
     earliest-timestamp bucket; [false] if the queue was empty. *)
 
+val executed : t -> int
+(** Number of events {!step} (and so {!run}) has dispatched since
+    {!create}, under any policy. Virtual and exact: it depends only on the
+    event set, never on wall time. *)
+
 val stop : t -> unit
 (** [stop t] makes the current [run] return after the ongoing event. The
     clock stays at that event's timestamp. *)

@@ -141,21 +141,18 @@ let fire_due t =
      of green threads) that must run before we go back to select. Bound the
      burst so runaway yield loops still reach the fd poll. *)
   while !continue && !fired < 100_000 do
-    match Heap.peek_prio t.timers with
-    | None -> continue := false
-    | Some deadline when deadline > now_ns t -> continue := false
-    | Some _ ->
-      (match Heap.pop t.timers with
-       | None -> continue := false
-       | Some (_, tm) ->
-         (match tm.tcb with
-          | None -> ()
-          | Some f ->
-            tm.tcb <- None;
-            t.live_timers <- t.live_timers - 1;
-            t.timers_fired <- t.timers_fired + 1;
-            incr fired;
-            f ()))
+    if Heap.is_empty t.timers || Heap.min_prio t.timers > now_ns t then
+      continue := false
+    else
+      let tm = Heap.pop_min t.timers in
+      match tm.tcb with
+      | None -> ()
+      | Some f ->
+        tm.tcb <- None;
+        t.live_timers <- t.live_timers - 1;
+        t.timers_fired <- t.timers_fired + 1;
+        incr fired;
+        f ()
   done
 
 let select_once t ~timeout =
@@ -195,19 +192,20 @@ let run ?until_ns t =
          bound on the next live one): at worst we wake early, pop it as a
          no-op, and re-estimate — never late. The quiesce check below uses
          the exact [live_timers] count, not the heap. *)
-      let next = if t.live_timers > 0 then Heap.peek_prio t.timers else None in
+      let has_next = t.live_timers > 0 && not (Heap.is_empty t.timers) in
       let now = now_ns t in
       let expired =
         match until_ns with Some u -> now >= u | None -> false
       in
-      if expired || (next = None && t.active_fds = 0) then continue := false
+      if expired || ((not has_next) && t.active_fds = 0) then
+        continue := false
       else begin
         let horizon =
-          match next, until_ns with
-          | Some d, Some u -> min d u
-          | Some d, None -> d
-          | None, Some u -> u
-          | None, None -> now + int_of_float (max_idle_slice *. 1e9)
+          match until_ns with
+          | Some u when has_next -> min (Heap.min_prio t.timers) u
+          | Some u -> u
+          | None when has_next -> Heap.min_prio t.timers
+          | None -> now + int_of_float (max_idle_slice *. 1e9)
         in
         let timeout =
           min max_idle_slice (float_of_int (max 0 (horizon - now)) /. 1e9)

@@ -37,6 +37,178 @@ let prop_heap_sorts =
        let out = drain [] in
        out = List.sort compare prios)
 
+(* Words allocated by [calls] runs of [f], less those of an empty run. *)
+let minor_words_per_call f =
+  let calls = 1000 in
+  let run g =
+    g ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      g ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  (run f -. run (fun () -> ())) /. float_of_int calls
+
+(* The heap against a sorted-list model: every operation's result, and
+   the length after it, must match. Each pushed value is its insertion
+   sequence, and the model keeps the (prio, seq) pairs sorted, so its head
+   is the minimum and the prefix that shares the head's priority is the
+   same-instant bucket in insertion order. Runs start from fills that sit
+   on and across the capacity doublings (16, 32, 64, ... 8192). *)
+type heap_op =
+  | Push of int
+  | Pop
+  | Pop_min
+  | Min_count
+  | Pop_nth of int
+
+let heap_op_gen ~prios =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun p -> Push p) (int_bound prios));
+        (2, return Pop);
+        (2, return Pop_min);
+        (1, return Min_count);
+        (2, map (fun n -> Pop_nth n) (int_range (-1) 6)) ])
+
+let show_heap_op = function
+  | Push p -> Printf.sprintf "push %d" p
+  | Pop -> "pop"
+  | Pop_min -> "pop_min"
+  | Min_count -> "min_count"
+  | Pop_nth n -> Printf.sprintf "pop_nth %d" n
+
+let heap_case_gen =
+  QCheck.Gen.(
+    oneofl [ 0; 1; 63; 64; 65; 4_097 ] >>= fun fill ->
+    (* A small priority range makes large same-priority buckets. *)
+    oneofl [ 1; 3; 50; 1_000_000 ] >>= fun prios ->
+    int >>= fun seed ->
+    list_size (int_bound 300) (heap_op_gen ~prios) >>= fun ops ->
+    return (fill, prios, seed, ops))
+
+let heap_case =
+  QCheck.make heap_case_gen ~print:(fun (fill, prios, seed, ops) ->
+      Printf.sprintf "fill %d, prios < %d, seed %d: %s" fill prios seed
+        (String.concat "; " (List.map show_heap_op ops)))
+
+let prop_heap_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    heap_case (fun (fill, prios, seed, ops) ->
+        let module H = Engine.Heap in
+        let h = H.create () in
+        let next = ref 0 in
+        let model = ref [] in
+        let push p =
+          let seq = !next in
+          incr next;
+          H.push h ~prio:p seq;
+          seq
+        in
+        let rng = Random.State.make [| seed |] in
+        model :=
+          List.sort compare
+            (List.init fill (fun _ ->
+                 let p = Random.State.int rng prios in
+                 (p, push p)));
+        let insert p seq =
+          let rec go = function
+            | (q, _) as e :: rest when q <= p -> e :: go rest
+            | l -> (p, seq) :: l
+          in
+          model := go !model
+        in
+        let bucket () =
+          match !model with
+          | [] -> []
+          | (p, _) :: _ -> List.filter (fun (q, _) -> q = p) !model
+        in
+        let remove e = model := List.filter (fun x -> x <> e) !model in
+        let step op =
+          (match op with
+           | Push p -> insert p (push p)
+           | Pop ->
+             (match (H.pop h, !model) with
+              | None, [] -> ()
+              | Some got, (e :: _) when got = e -> remove e
+              | _ -> failwith "pop")
+           | Pop_min ->
+             (match !model with
+              | [] ->
+                (match H.pop_min h with
+                 | _ -> failwith "pop_min on empty did not raise"
+                 | exception Invalid_argument _ -> ())
+              | ((p, _) as e) :: _ ->
+                if H.min_prio h <> p then failwith "min_prio";
+                if H.pop_min h <> snd e then failwith "pop_min";
+                remove e)
+           | Min_count ->
+             if H.min_count h <> List.length (bucket ()) then
+               failwith "min_count"
+           | Pop_nth n ->
+             (match (H.pop_min_nth h n, bucket ()) with
+              | None, [] -> ()
+              | Some got, b ->
+                let k = max 0 (min n (List.length b - 1)) in
+                let e = List.nth b k in
+                if got <> e then failwith "pop_min_nth";
+                remove e
+              | None, _ -> failwith "pop_min_nth: None on a non-empty heap"));
+          if H.length h <> List.length !model then failwith "length"
+        in
+        List.iter step ops;
+        (* Drain: what is left comes out in model order. *)
+        List.iter (fun e -> if H.pop h <> Some e then failwith "drain") !model;
+        H.is_empty h)
+
+(* A value the heap has handed back, by any pop, must not stay reachable
+   from the heap, drained or not. *)
+let test_heap_no_retention () =
+  let module H = Engine.Heap in
+  let h = H.create () in
+  let n = 6 in
+  let w = Weak.create n in
+  let[@inline never] fill () =
+    for i = 0 to n - 1 do
+      let v = Bytes.make 16 (Char.chr (65 + i)) in
+      Weak.set w i (Some v);
+      (* prios 0 0 0 1 1 1 *)
+      H.push h ~prio:(i / 3) v
+    done
+  in
+  fill ();
+  ignore (Sys.opaque_identity (H.pop h));
+  ignore (Sys.opaque_identity (H.pop_min_nth h 1));
+  Gc.full_major ();
+  let live () = List.init n (Weak.check w) in
+  Alcotest.(check (list bool)) "popped values collected, queued ones kept"
+    [ false; true; false; true; true; true ] (live ());
+  while not (H.is_empty h) do
+    ignore (Sys.opaque_identity (H.pop_min h))
+  done;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "drained heap keeps nothing"
+    (List.init n (fun _ -> false)) (live ());
+  (* The heap itself must outlive the collections above. *)
+  Tutil.check_int "still empty" 0 (H.length (Sys.opaque_identity h))
+
+(* The simulator's steady state at the edge gateway's depth: once the
+   capacity is reached, a push plus a pop allocates nothing. *)
+let test_heap_allocates_nothing () =
+  let module H = Engine.Heap in
+  let h = H.create () in
+  for i = 0 to 19_999 do
+    H.push h ~prio:(i * 7919 mod 20_000) i
+  done;
+  let next = ref 0 in
+  Alcotest.(check (float 0.)) "push + min_prio + pop_min: words per call" 0.
+    (minor_words_per_call (fun () ->
+         next := (!next + 7919) mod 40_000;
+         H.push h ~prio:(H.min_prio h + !next) !next;
+         ignore (Sys.opaque_identity (H.pop_min h))));
+  Tutil.check_int "depth unchanged" 20_000 (H.length h)
+
 (* ---------- Rng ---------- *)
 
 let test_rng_deterministic () =
@@ -479,19 +651,6 @@ let test_bytebuf_set_out_of_range () =
          [ -1; 16 - width + 1; 16 - (width / 2); 15; 16 ])
     codecs
 
-(* Words allocated by [calls] runs of [f], less those of an empty run. *)
-let minor_words_per_call f =
-  let calls = 1000 in
-  let run g =
-    g ();
-    let w0 = Gc.minor_words () in
-    for _ = 1 to calls do
-      g ()
-    done;
-    Gc.minor_words () -. w0
-  in
-  (run f -. run (fun () -> ())) /. float_of_int calls
-
 let test_bytebuf_kernels_allocate_nothing () =
   let a = slice ~seed:1 ~off:3 4096 in
   let b = Bb.copy a in
@@ -591,8 +750,12 @@ let () =
   Alcotest.run "engine"
     [ ("heap",
        [ Alcotest.test_case "basic order" `Quick test_heap_basic;
-         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties ]);
-      Tutil.qsuite "heap-props" [ prop_heap_sorts ];
+         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
+         Alcotest.test_case "popped values are not retained" `Quick
+           test_heap_no_retention;
+         Alcotest.test_case "push+pop at depth 20k allocates nothing" `Quick
+           test_heap_allocates_nothing ]);
+      Tutil.qsuite "heap-props" [ prop_heap_sorts; prop_heap_model ];
       ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
          Alcotest.test_case "bounds" `Quick test_rng_bounds;
