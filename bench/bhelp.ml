@@ -6,11 +6,6 @@ include Scenario
    virtual-time trajectory. *)
 let backend = ref Padico.Sim
 
-(* Worker-domain count for experiments that can run their grids on the
-   sharded parallel engine (set once by main from --domains; 1 = classic
-   single-heap execution). *)
-let domains = ref 1
-
 (* Machine-readable results: experiments record named metrics as they print
    them; the harness writes the accumulated set to BENCH_results.json so CI
    and regression tooling can diff numbers without scraping stdout. *)

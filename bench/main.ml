@@ -22,8 +22,6 @@ let experiments =
     ("detect", "E14: self-healing collectives under member crash",
      Detect_bench.run);
     ("edge", "E15: edge gateway at 100k connections", Edge_bench.run);
-    ("shard", "E16: multicore engine, conservative parallel simulation",
-     Shard_bench.run);
     ("micro", "wall-clock microbenchmarks", Micro_bench.run) ]
 
 (* Experiments meaningful on real sockets (the rest model SAN hardware,
@@ -31,8 +29,7 @@ let experiments =
 let host_capable = [ "flow"; "detect"; "edge"; "micro" ]
 
 let usage () =
-  print_endline
-    "usage: bench/main.exe [--backend sim|host] [--domains N] [experiment]";
+  print_endline "usage: bench/main.exe [--backend sim|host] [experiment]";
   print_endline "experiments:";
   List.iter
     (fun (name, descr, _) -> Printf.printf "  %-12s %s\n" name descr)
@@ -52,14 +49,6 @@ let () =
     | "--backend" :: other :: _ ->
       Printf.eprintf "unknown backend %S (sim|host)\n" other;
       exit 2
-    | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some d when d >= 1 ->
-         Bhelp.domains := d;
-         strip_backend rest
-       | _ ->
-         Printf.eprintf "--domains wants a positive integer, got %S\n" n;
-         exit 2)
     | x :: rest -> x :: strip_backend rest
     | [] -> []
   in

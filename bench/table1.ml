@@ -102,15 +102,17 @@ let java_bandwidth () =
   let grid, a, b = Bhelp.myrinet_pair () in
   Bhelp.java_stream_bw grid ~a ~b ~port:7000 ~size:1_000_000 ~count:64
 
+(* (row, key slug for BENCH_results.json, latency, bandwidth, paper
+   latency, paper bandwidth) *)
 let rows =
-  [ ("Circuit", circuit_latency, circuit_bandwidth, 8.4, 240.0);
-    ("VLink", vlink_latency, vlink_bandwidth, 10.2, 239.0);
-    ("MPICH-1.2.5", mpi_latency, mpi_bandwidth, 12.06, 238.7);
-    ("omniORB 3", corba_latency Cdr.omniorb3, corba_bandwidth Cdr.omniorb3,
-     20.3, 238.4);
-    ("omniORB 4", corba_latency Cdr.omniorb4, corba_bandwidth Cdr.omniorb4,
-     18.4, 235.8);
-    ("Java sockets", java_latency, java_bandwidth, 40.0, 237.9) ]
+  [ ("Circuit", "circuit", circuit_latency, circuit_bandwidth, 8.4, 240.0);
+    ("VLink", "vlink", vlink_latency, vlink_bandwidth, 10.2, 239.0);
+    ("MPICH-1.2.5", "mpich", mpi_latency, mpi_bandwidth, 12.06, 238.7);
+    ("omniORB 3", "omniorb3", corba_latency Cdr.omniorb3,
+     corba_bandwidth Cdr.omniorb3, 20.3, 238.4);
+    ("omniORB 4", "omniorb4", corba_latency Cdr.omniorb4,
+     corba_bandwidth Cdr.omniorb4, 18.4, 235.8);
+    ("Java sockets", "java", java_latency, java_bandwidth, 40.0, 237.9) ]
 
 let run () =
   Bhelp.print_header
@@ -118,10 +120,12 @@ let run () =
   Printf.printf "%-14s %10s %10s %12s %12s\n" "API/middleware" "lat (us)"
     "paper" "bw (MB/s)" "paper";
   List.iter
-    (fun (name, lat, bw, plat, pbw) ->
+    (fun (name, slug, lat, bw, plat, pbw) ->
        let l = lat () in
        let b = bw () in
        Printf.printf "%-14s %s %10.2f %s %12.1f\n" name (Bhelp.pp_us l) plat
          (Bhelp.pp_mb b) pbw;
+       Bhelp.record ~experiment:"table1" (slug ^ ".lat_us") l;
+       Bhelp.record ~experiment:"table1" (slug ^ ".bw_mb_s") b;
        flush stdout)
     rows

@@ -17,8 +17,8 @@ type t = {
   crank : int;
   group : Simnet.Node.t array;
   (* Node id -> rank over the whole group, built once per circuit and
-     shared read-only by every member (sharded runs read it from several
-     domains). Co-located ranks map to the highest one. *)
+     shared read-only by every member. Co-located ranks map to the highest
+     one. *)
   rank_of_node : (int, int) Hashtbl.t;
   links : adapter array;
   (* Messages packed before the link adapter is bound (e.g. while a WAN

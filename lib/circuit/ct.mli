@@ -43,8 +43,7 @@ val create : group:Simnet.Node.t array -> rank:int -> name:string -> t
 
 val create_all : group:Simnet.Node.t array -> name:string -> t array
 (** One member per rank of [group], all sharing a single node-id → rank
-    index built here. The index is never mutated afterwards, so members
-    executing on different domains may read it concurrently. *)
+    index built here. The index is never mutated afterwards. *)
 
 val name : t -> string
 val rank : t -> int

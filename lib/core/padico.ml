@@ -51,13 +51,8 @@ let register_builtins () =
   e "fm" Registry.Personality "FastMessage 2.0 API over Circuit" `Parallel;
   e "madpers" Registry.Personality "virtual Madeleine over Circuit" `Parallel
 
-let create ?seed ?(prefs = Prefs.default) ?(backend = Sim) ?shards () =
+let create ?seed ?(prefs = Prefs.default) ?(backend = Sim) () =
   register_builtins ();
-  (match backend, shards with
-   | Host, Some _ ->
-     invalid_arg
-       "Padico.create: ~shards needs the simulated backend (the Host         reactor runs on one real clock; conservative synchronization         does not apply)"
-   | _ -> ());
   let ploop, clock =
     match backend with
     | Sim -> (None, None)
@@ -65,7 +60,7 @@ let create ?seed ?(prefs = Prefs.default) ?(backend = Sim) ?shards () =
       let l = Hostio.Loop.create () in
       (Some l, Some (Hostio.Loop.clock l))
   in
-  { pnet = Net.create ?seed ?clock ?shards (); pbackend = backend; ploop;
+  { pnet = Net.create ?seed ?clock (); pbackend = backend; ploop;
     pprefs = prefs; next_lchan = 1; next_circuit_port = 7_000; relays = [] }
 
 let net t = t.pnet
@@ -75,7 +70,7 @@ let loop t = t.ploop
 let prefs t = t.pprefs
 let set_prefs t p = t.pprefs <- p
 
-let add_node ?shard t name = Net.add_node ?shard t.pnet name
+let add_node t name = Net.add_node t.pnet name
 
 let add_segment t model ?name nodes = Net.add_segment t.pnet model ?name nodes
 
@@ -423,20 +418,12 @@ let circuit t ~name nodes =
   done;
   cts
 
-let run ?until ?domains t =
+let run ?until t =
   match t.ploop with
-  | None -> Net.run ?until ?domains t.pnet
-  | Some l ->
-    (match domains with
-     | Some d when d > 1 ->
-       invalid_arg "Padico.run: ~domains needs the simulated backend"
-     | _ -> ());
-    Hostio.Loop.run ?until_ns:until l
+  | None -> Net.run ?until t.pnet
+  | Some l -> Hostio.Loop.run ?until_ns:until l
 
-let now t =
-  match t.ploop with
-  | Some _ -> Engine.Clock.now (Net.clock t.pnet)
-  | None -> Net.now t.pnet
+let now t = Engine.Clock.now (Net.clock t.pnet)
 
 let reset () = Engine.Lifecycle.reset_registries ()
 

@@ -23,16 +23,11 @@ type backend =
   | Host  (** real Unix sockets and wall-clock timers via {!Hostio} *)
 
 val create :
-  ?seed:int -> ?prefs:Selector.Prefs.t -> ?backend:backend -> ?shards:int ->
-  unit -> t
+  ?seed:int -> ?prefs:Selector.Prefs.t -> ?backend:backend -> unit -> t
 (** [backend] selects the execution backend for the whole grid: [Sim]
     runs on the simulator's virtual clock; [Host] creates a
     {!Hostio.Loop} reactor whose monotonic clock every node runs on, so
-    the same program does real socket I/O.
-
-    [shards] partitions the grid for the conservative parallel engine
-    (see [Simnet.Net.create]); place nodes with {!add_node}'s [?shard]
-    and run with {!run}'s [?domains]. [Sim] backend only. *)
+    the same program does real socket I/O. *)
 
 val net : t -> Simnet.Net.t
 val sim : t -> Engine.Sim.t
@@ -47,7 +42,7 @@ val set_prefs : t -> Selector.Prefs.t -> unit
 
 (** {1 Topology} *)
 
-val add_node : ?shard:int -> t -> string -> Simnet.Node.t
+val add_node : t -> string -> Simnet.Node.t
 val add_segment :
   t -> Simnet.Linkmodel.t -> ?name:string -> Simnet.Node.t list ->
   Simnet.Segment.t
@@ -100,16 +95,13 @@ val circuit : t -> name:string -> Simnet.Node.t list -> Circuit.Ct.t array
 
 (** {1 Execution} *)
 
-val run : ?until:int -> ?domains:int -> t -> unit
+val run : ?until:int -> t -> unit
 (** Drive the grid until quiescence. [until] bounds execution: virtual ns
-    on [Sim], wall-clock ns since reactor creation on [Host]. [domains]
-    (sharded [Sim] grids only) sets the worker-domain count for the
-    parallel engine. *)
+    on [Sim], wall-clock ns since reactor creation on [Host]. *)
 
 val now : t -> int
-(** Current time on the grid's clock: virtual ns ([Sim]; the maximum
-    across shard clocks on a sharded grid) or monotonic wall ns
-    ([Host]). *)
+(** Current time on the grid's clock: virtual ns ([Sim]) or monotonic
+    wall ns ([Host]). *)
 
 val reset : unit -> unit
 (** Drop every module-level registry (TCP stacks, NetAccess dispatchers,

@@ -37,11 +37,7 @@ and t = {
 exception No_channel_left
 
 let ports : (int * int, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset ports))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset ports)
 
 let node t = t.node
 let segment t = t.seg
@@ -91,18 +87,17 @@ let handle_frag t (pkt : Simnet.Packet.t) =
 
 let attach seg node =
   let key = (Simnet.Segment.uid seg, Simnet.Node.id node) in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt ports key with
-      | Some t -> t
-      | None ->
-        let t =
-          { seg; node; channels = Hashtbl.create 4; sent = 0; received = 0 }
-        in
-        ignore (max_channels t); (* validates the segment class *)
-        Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.gm
-          (handle_frag t);
-        Hashtbl.replace ports key t;
-        t)
+  match Hashtbl.find_opt ports key with
+  | Some t -> t
+  | None ->
+    let t =
+      { seg; node; channels = Hashtbl.create 4; sent = 0; received = 0 }
+    in
+    ignore (max_channels t); (* validates the segment class *)
+    Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.gm
+      (handle_frag t);
+    Hashtbl.replace ports key t;
+    t
 
 let open_channel t ~id =
   if id < 0 || id >= max_channels t then raise No_channel_left;

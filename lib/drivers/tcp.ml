@@ -128,15 +128,7 @@ and stack = {
 }
 
 let stacks : (int * int, stack) Hashtbl.t = Hashtbl.create 16
-
-(* Find-or-create can run mid-run on any worker shard of a parallel
-   simulation; the registry table needs a lock even though each created
-   instance stays owner-shard. *)
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset stacks))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset stacks)
 
 let node s = s.snode
 let segment s = s.seg
@@ -650,19 +642,18 @@ let handle_packet stack (pkt : Simnet.Packet.t) =
 
 let attach seg node =
   let key = (Simnet.Segment.uid seg, Simnet.Node.id node) in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt stacks key with
-      | Some s -> s
-      | None ->
-        let s =
-          { seg; snode = node; conns = Hashtbl.create 16;
-            listeners = Hashtbl.create 8; next_ephemeral = 32_768;
-            timer_svc = None; reap = false; pooled_rings = false; reaped = 0 }
-        in
-        Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.tcp
-          (handle_packet s);
-        Hashtbl.replace stacks key s;
-        s)
+  match Hashtbl.find_opt stacks key with
+  | Some s -> s
+  | None ->
+    let s =
+      { seg; snode = node; conns = Hashtbl.create 16;
+        listeners = Hashtbl.create 8; next_ephemeral = 32_768;
+        timer_svc = None; reap = false; pooled_rings = false; reaped = 0 }
+    in
+    Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.tcp
+      (handle_packet s);
+    Hashtbl.replace stacks key s;
+    s
 
 let listen ?(sndbuf = default_bufsize) ?(rcvbuf = default_bufsize) stack ~port
     cb =

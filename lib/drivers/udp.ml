@@ -12,11 +12,7 @@ type t = {
 }
 
 let endpoints : (int * int, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset endpoints))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset endpoints)
 
 let header_bytes = 28
 
@@ -39,17 +35,14 @@ let handle t (pkt : Simnet.Packet.t) =
 
 let attach seg node =
   let key = (Simnet.Segment.uid seg, Simnet.Node.id node) in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt endpoints key with
-      | Some t -> t
-      | None ->
-        let t =
-          { seg; node; binds = Hashtbl.create 8; sent = 0; received = 0 }
-        in
-        Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.udp
-          (handle t);
-        Hashtbl.replace endpoints key t;
-        t)
+  match Hashtbl.find_opt endpoints key with
+  | Some t -> t
+  | None ->
+    let t = { seg; node; binds = Hashtbl.create 8; sent = 0; received = 0 } in
+    Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.udp
+      (handle t);
+    Hashtbl.replace endpoints key t;
+    t
 
 let bind t ~port f =
   if Hashtbl.mem t.binds port then

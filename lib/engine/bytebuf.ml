@@ -1,12 +1,10 @@
 type t = { data : bytes; off : int; len : int }
 
-(* Atomic: copies happen on every shard of a parallel run and the E8
-   ablation wants an exact total. *)
-let copied = Atomic.make 0
+let copied = ref 0
 
-let copies_performed () = Atomic.get copied
+let copies_performed () = !copied
 
-let reset_copy_counter () = Atomic.set copied 0
+let reset_copy_counter () = copied := 0
 
 let create len = { data = Bytes.make len '\000'; off = 0; len }
 
@@ -38,7 +36,7 @@ let blit_dma ~src ~src_off ~dst ~dst_off ~len =
 
 let blit ~src ~src_off ~dst ~dst_off ~len =
   blit_dma ~src ~src_off ~dst ~dst_off ~len;
-  ignore (Atomic.fetch_and_add copied len)
+  copied := !copied + len
 
 let concat parts =
   let total = List.fold_left (fun acc p -> acc + p.len) 0 parts in
@@ -52,7 +50,7 @@ let concat parts =
   out
 
 let copy b =
-  ignore (Atomic.fetch_and_add copied b.len);
+  copied := !copied + b.len;
   { data = Bytes.sub b.data b.off b.len; off = 0; len = b.len }
 
 let fill_pattern b ~seed =
@@ -95,12 +93,6 @@ let checksum b =
 module Pool = struct
   let slab = 64
 
-  (* The pool is process-global and reachable from every shard of a
-     parallel run (edge-mode send rings, MadIO aggregation headers), so
-     its free lists are mutex-guarded. Uncontended lock cost is noise
-     next to the per-connection / per-message work the pool amortises. *)
-  let lock = Mutex.create ()
-
   let free : bytes list ref = ref []
   let hits = ref 0
   let misses = ref 0
@@ -108,33 +100,27 @@ module Pool = struct
   let alloc n =
     if n < 0 then invalid_arg "Bytebuf.Pool.alloc: negative length";
     if n > slab then begin
-      Mutex.protect lock (fun () -> incr misses);
+      incr misses;
       { data = Bytes.create n; off = 0; len = n }
     end
     else
-      match
-        Mutex.protect lock (fun () ->
-            match !free with
-            | data :: rest ->
-              free := rest;
-              incr hits;
-              Some data
-            | [] ->
-              incr misses;
-              None)
-      with
-      | Some data -> { data; off = 0; len = n }
-      | None -> { data = Bytes.create slab; off = 0; len = n }
+      match !free with
+      | data :: rest ->
+        free := rest;
+        incr hits;
+        { data; off = 0; len = n }
+      | [] ->
+        incr misses;
+        { data = Bytes.create slab; off = 0; len = n }
 
   let release b =
     (* Only slabs we handed out come back: anything resized, sliced or
        foreign is simply dropped for the GC. *)
-    if b.off = 0 && Bytes.length b.data = slab then
-      Mutex.protect lock (fun () -> free := b.data :: !free)
+    if b.off = 0 && Bytes.length b.data = slab then free := b.data :: !free
 
-  let pool_hits () = Mutex.protect lock (fun () -> !hits)
-  let pool_misses () = Mutex.protect lock (fun () -> !misses)
-  let pooled () = Mutex.protect lock (fun () -> List.length !free)
+  let pool_hits () = !hits
+  let pool_misses () = !misses
+  let pooled () = List.length !free
 
   (* Size-classed slabs for long-lived per-connection buffers (TCP send
      rings are the motivating user: one ring per connection, released and
@@ -149,44 +135,38 @@ module Pool = struct
 
   let alloc_bytes n =
     if n <= 0 then invalid_arg "Bytebuf.Pool.alloc_bytes: non-positive length";
-    match
-      Mutex.protect lock (fun () ->
-          match Hashtbl.find_opt sized n with
-          | Some (b :: rest) ->
-            Hashtbl.replace sized n rest;
-            incr sized_hits_c;
-            sized_parked := !sized_parked - n;
-            Some b
-          | Some [] | None ->
-            incr sized_misses_c;
-            None)
-    with
-    | Some b -> b
-    | None -> Bytes.create n
+    match Hashtbl.find_opt sized n with
+    | Some (b :: rest) ->
+      Hashtbl.replace sized n rest;
+      incr sized_hits_c;
+      sized_parked := !sized_parked - n;
+      b
+    | Some [] | None ->
+      incr sized_misses_c;
+      Bytes.create n
 
   let release_bytes b =
     let n = Bytes.length b in
-    if n > 0 then
-      Mutex.protect lock (fun () ->
-          let cur =
-            match Hashtbl.find_opt sized n with Some l -> l | None -> []
-          in
-          Hashtbl.replace sized n (b :: cur);
-          sized_parked := !sized_parked + n)
+    if n > 0 then begin
+      let cur =
+        match Hashtbl.find_opt sized n with Some l -> l | None -> []
+      in
+      Hashtbl.replace sized n (b :: cur);
+      sized_parked := !sized_parked + n
+    end
 
-  let sized_hits () = Mutex.protect lock (fun () -> !sized_hits_c)
-  let sized_misses () = Mutex.protect lock (fun () -> !sized_misses_c)
-  let sized_parked_bytes () = Mutex.protect lock (fun () -> !sized_parked)
+  let sized_hits () = !sized_hits_c
+  let sized_misses () = !sized_misses_c
+  let sized_parked_bytes () = !sized_parked
 
   let reset () =
-    Mutex.protect lock (fun () ->
-        free := [];
-        hits := 0;
-        misses := 0;
-        Hashtbl.reset sized;
-        sized_hits_c := 0;
-        sized_misses_c := 0;
-        sized_parked := 0)
+    free := [];
+    hits := 0;
+    misses := 0;
+    Hashtbl.reset sized;
+    sized_hits_c := 0;
+    sized_misses_c := 0;
+    sized_parked := 0
 end
 
 let get b i =

@@ -10,12 +10,11 @@ type t = {
 
 type timer = { mutable cancel_ : (unit -> unit) option }
 
-(* Atomic: clock capabilities are normally built at setup time, but a
-   lazily-forced module may create one from a worker domain. *)
-let next_id = Atomic.make 0
+let next_id = ref 0
 
 let make ~kind ~now ~schedule ~arm =
-  { kind; id = Atomic.fetch_and_add next_id 1 + 1; now; schedule; arm_ = arm }
+  incr next_id;
+  { kind; id = !next_id; now; schedule; arm_ = arm }
 
 let kind t = t.kind
 let id t = t.id

@@ -8,22 +8,10 @@
    a 100k-connection capacity sweep) drags the full history of dead
    grids through every GC cycle. Each registry-owning module installs
    an [on_reset] hook at init; [reset_registries] drops them all at
-   once between scenarios.
-
-   Domain-safety: hooks are normally installed from module initialisers
-   (single-threaded), but a sharded run may lazily force a module's
-   first use from a worker domain, so the list itself is guarded. Reset
-   must still only run between scenarios, never during one. *)
-
-let mutex = Mutex.create ()
+   once between scenarios. *)
 
 let resets : (unit -> unit) list ref = ref []
 
-let on_reset f =
-  Mutex.lock mutex;
-  resets := f :: !resets;
-  Mutex.unlock mutex
+let on_reset f = resets := f :: !resets
 
-let reset_registries () =
-  let hooks = Mutex.protect mutex (fun () -> !resets) in
-  List.iter (fun f -> f ()) hooks
+let reset_registries () = List.iter (fun f -> f ()) !resets

@@ -20,18 +20,6 @@ let split t =
   let s = int64 t in
   { state = s }
 
-(* Keyed derivation: the [i]-th child stream of [t]'s current state,
-   without advancing [t]. Children of distinct indices are independent
-   (each lands on a distinct mixed point of the gamma sequence), and the
-   mapping is a pure function of (state, i) — the property the sharded
-   engine needs so per-shard / per-port streams do not depend on the
-   order in which shards happen to ask for them. *)
-let stream t i =
-  let z =
-    mix (Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) golden_gamma))
-  in
-  { state = z }
-
 let int t bound =
   assert (bound > 0);
   (* Keep 62 bits so the conversion to OCaml's 63-bit int stays positive. *)

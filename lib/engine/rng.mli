@@ -12,12 +12,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances. *)
 
-val stream : t -> int -> t
-(** [stream t i] is the [i]-th keyed child of [t]'s current state; [t]
-    does {e not} advance. A pure function of (state, [i]): any caller
-    asking for the same index gets the same stream regardless of order —
-    the basis for per-shard and per-port streams in the sharded engine. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 

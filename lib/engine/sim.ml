@@ -134,20 +134,7 @@ let stopped t = t.stopped
 
 let clear_stopped t = t.stopped <- false
 
-(* ---------- sharded-runtime hooks (see Shard) ----------
-   A shard worker drives its simulator manually instead of through [run]:
-   it peeks the next local timestamp, merges it against staged cross-shard
-   frames, and either [step]s or force-advances the clock to a frame's
-   timestamp before running the frame's closure. *)
-
 let peek_next t = Heap.peek_prio t.events
-
-let advance_to t time =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.advance_to: time %d is in the past (now %d)" time
-         t.clock);
-  t.clock <- time
 
 let clock t =
   match t.cap with

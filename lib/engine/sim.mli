@@ -84,23 +84,11 @@ val stopped : t -> bool
     {!clear_stopped}. *)
 
 val clear_stopped : t -> unit
-(** Re-arm a stopped simulator. [run] does this implicitly on entry; the
-    sharded runtime (which drives {!step} directly) calls it explicitly. *)
-
-(** {1 Sharded-runtime hooks}
-
-    Used by {!Shard} workers, which drive a simulator manually instead of
-    through {!run}: peek the next local timestamp, merge against staged
-    cross-shard frames, and either {!step} or force-advance the clock to a
-    frame's timestamp before running its closure. *)
+(** Re-arm a stopped simulator. [run] does this implicitly on entry; a
+    caller that drives {!step} directly calls it explicitly. *)
 
 val peek_next : t -> int option
 (** Timestamp of the earliest queued event, if any. *)
-
-val advance_to : t -> int -> unit
-(** [advance_to t time] sets the clock to [time]. Raises
-    [Invalid_argument] when [time] is in the past — the conservative
-    synchronization protocol guarantees a shard never needs to. *)
 
 val clock : t -> Clock.t
 (** The simulator's virtual {!Clock.t} capability — cached, so repeated

@@ -1,16 +1,12 @@
-(* Counters are atomic: most are owned by one node (hence one shard),
-   but group-level aggregates (e.g. a collective's WAN message count)
-   are bumped from several shards of a parallel run, and their totals
-   must stay exact. Single-domain behavior is unchanged. *)
 module Counter = struct
-  type t = { name : string; value : int Atomic.t }
+  type t = { name : string; mutable value : int }
 
-  let create name = { name; value = Atomic.make 0 }
-  let incr t = Atomic.incr t.value
-  let add t n = ignore (Atomic.fetch_and_add t.value n)
-  let value t = Atomic.get t.value
+  let create name = { name; value = 0 }
+  let incr t = t.value <- t.value + 1
+  let add t n = t.value <- t.value + n
+  let value t = t.value
   let name t = t.name
-  let reset t = Atomic.set t.value 0
+  let reset t = t.value <- 0
 end
 
 module Summary = struct

@@ -27,29 +27,24 @@ let create_on ?(slot_ns = 65_536) clk =
 let create ?slot_ns sim = create_on ?slot_ns (Engine.Sim.clock sim)
 
 (* One shared wheel per clock, keyed by Clock.id; the list stays tiny (one
-   entry per live simulation or host loop). Mutex-guarded: in a sharded
-   run every shard arms timers through here, each against its own
-   shard's clock — distinct wheels, one registry. *)
+   entry per live simulation or host loop). *)
 let shared : (int * t) list ref = ref []
-let shared_lock = Mutex.create ()
-let () = Engine.Lifecycle.on_reset (fun () ->
-    Mutex.protect shared_lock (fun () -> shared := []))
+let () = Engine.Lifecycle.on_reset (fun () -> shared := [])
 
 let for_clock clk =
   let key = Engine.Clock.id clk in
-  Mutex.protect shared_lock (fun () ->
-      match List.find_opt (fun (k, _) -> k = key) !shared with
-      | Some (_, w) -> w
-      | None ->
-        let w = create_on clk in
-        shared := (key, w) :: !shared;
-        (* Keep the registry from growing across many short-lived simulations
-           (tests): drop entries whose clock is not the one being asked for once
-           the list gets long. Correctness is unaffected — a dropped wheel is
-           simply recreated if its clock is ever used again. *)
-        if List.length !shared > 64 then
-          shared := List.filteri (fun i _ -> i < 32) !shared;
-        w)
+  match List.find_opt (fun (k, _) -> k = key) !shared with
+  | Some (_, w) -> w
+  | None ->
+    let w = create_on clk in
+    shared := (key, w) :: !shared;
+    (* Keep the registry from growing across many short-lived simulations
+       (tests): drop entries whose clock is not the one being asked for once
+       the list gets long. Correctness is unaffected — a dropped wheel is
+       simply recreated if its clock is ever used again. *)
+    if List.length !shared > 64 then
+      shared := List.filteri (fun i _ -> i < 32) !shared;
+    w
 
 let for_sim sim = for_clock (Engine.Sim.clock sim)
 

@@ -32,24 +32,19 @@ type incoming = {
 }
 
 let instances : (int * int, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset instances))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset instances)
 
 let init seg node =
   let key = (Simnet.Segment.uid seg, Simnet.Node.id node) in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt instances key with
-      | Some t -> t
-      | None ->
-        let t =
-          { gm = Drivers.Gm.attach seg node; mnode = node; seg; sent = 0;
-            received = 0 }
-        in
-        Hashtbl.replace instances key t;
-        t)
+  match Hashtbl.find_opt instances key with
+  | Some t -> t
+  | None ->
+    let t =
+      { gm = Drivers.Gm.attach seg node; mnode = node; seg; sent = 0;
+        received = 0 }
+    in
+    Hashtbl.replace instances key t;
+    t
 
 let node t = t.mnode
 let segment t = t.seg

@@ -240,12 +240,13 @@ let handle_sender_dgram s buf =
   | 4 -> s.fin_acked <- true (* receiver echoes FIN when complete *)
   | _ -> ()
 
-let next_vrp_port = Atomic.make 40_000
+let next_vrp_port = ref 40_000
 
 let create_sender sio udp ~dst ~dst_port ~tolerance ~rate_bps =
   if tolerance < 0.0 || tolerance >= 1.0 then
     invalid_arg "Vrp.create_sender: tolerance must be in [0,1)";
-  let src_port = Atomic.fetch_and_add next_vrp_port 1 + 1 in
+  incr next_vrp_port;
+  let src_port = !next_vrp_port in
   let chunk = Drivers.Udp.max_payload udp - data_hdr in
   let s =
     { sio; udp; dst; dst_port; src_port; tolerance; chunk; rate = rate_bps;

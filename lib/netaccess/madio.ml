@@ -73,11 +73,7 @@ and t = {
 }
 
 let instances : (int * int, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset instances))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset instances)
 
 let node t = t.mio_node
 let mad t = t.mio_mad
@@ -386,37 +382,36 @@ let pool_metrics_registered = ref false
 
 let init m =
   let key = (Simnet.Node.uid (Mad.node m), Simnet.Segment.uid (Mad.segment m)) in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt instances key with
-      | Some t -> t
-      | None ->
-        let hw_chan = Mad.open_channel m ~id:0 in
-        let scope = Metrics.Node (Simnet.Node.name (Mad.node m)) in
-        let t =
-          { mio_mad = m; mio_node = Mad.node m; core = Na_core.get (Mad.node m);
-            hw_chan; lchannels = Hashtbl.create 16;
-            pending_header = Hashtbl.create 4; combining = true;
-            window = 0; credits = Hashtbl.create 8; grants = Hashtbl.create 8;
-            credit_waiters = Hashtbl.create 8;
-            agg = None; aggq = Hashtbl.create 8;
-            sent = Metrics.fresh_counter scope "madio.sent";
-            received = Metrics.fresh_counter scope "madio.received";
-            credit_msgs = Metrics.fresh_counter scope "madio.credit_msgs";
-            credit_stalls = Metrics.fresh_counter scope "madio.credit_stalls";
-            batched = Metrics.fresh_counter scope "madio.agg_messages";
-            batches = Metrics.fresh_counter scope "madio.agg_batches";
-            pkts_saved = Metrics.fresh_counter scope "madio.agg_packets_saved" }
-        in
-        if not !pool_metrics_registered then begin
-          pool_metrics_registered := true;
-          Metrics.gauge Metrics.Global "bytebuf.pool_hits" (fun () ->
-              float_of_int (Bytebuf.Pool.pool_hits ()));
-          Metrics.gauge Metrics.Global "bytebuf.pool_misses" (fun () ->
-              float_of_int (Bytebuf.Pool.pool_misses ()))
-        end;
-        Mad.set_recv hw_chan (fun inc -> handle_incoming t inc);
-        Hashtbl.replace instances key t;
-        t)
+  match Hashtbl.find_opt instances key with
+  | Some t -> t
+  | None ->
+    let hw_chan = Mad.open_channel m ~id:0 in
+    let scope = Metrics.Node (Simnet.Node.name (Mad.node m)) in
+    let t =
+      { mio_mad = m; mio_node = Mad.node m; core = Na_core.get (Mad.node m);
+        hw_chan; lchannels = Hashtbl.create 16;
+        pending_header = Hashtbl.create 4; combining = true;
+        window = 0; credits = Hashtbl.create 8; grants = Hashtbl.create 8;
+        credit_waiters = Hashtbl.create 8;
+        agg = None; aggq = Hashtbl.create 8;
+        sent = Metrics.fresh_counter scope "madio.sent";
+        received = Metrics.fresh_counter scope "madio.received";
+        credit_msgs = Metrics.fresh_counter scope "madio.credit_msgs";
+        credit_stalls = Metrics.fresh_counter scope "madio.credit_stalls";
+        batched = Metrics.fresh_counter scope "madio.agg_messages";
+        batches = Metrics.fresh_counter scope "madio.agg_batches";
+        pkts_saved = Metrics.fresh_counter scope "madio.agg_packets_saved" }
+    in
+    if not !pool_metrics_registered then begin
+      pool_metrics_registered := true;
+      Metrics.gauge Metrics.Global "bytebuf.pool_hits" (fun () ->
+          float_of_int (Bytebuf.Pool.pool_hits ()));
+      Metrics.gauge Metrics.Global "bytebuf.pool_misses" (fun () ->
+          float_of_int (Bytebuf.Pool.pool_misses ()))
+    end;
+    Mad.set_recv hw_chan (fun inc -> handle_incoming t inc);
+    Hashtbl.replace instances key t;
+    t
 
 let open_lchannel t ~id =
   if id < 0 || id > 0xffff then invalid_arg "Madio.open_lchannel: bad id";

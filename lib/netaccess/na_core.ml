@@ -91,11 +91,7 @@ type t = {
 }
 
 let dispatchers : (int, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset dispatchers))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset dispatchers)
 
 let node t = t.dnode
 
@@ -338,35 +334,34 @@ let make_queue node kname =
 
 let get dnode =
   let id = Simnet.Node.uid dnode in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt dispatchers id with
-      | Some t -> t
-      | None ->
-        let scope = Metrics.Node (Simnet.Node.name dnode) in
-        let t =
-          { dnode; clk = Simnet.Node.clock dnode; pol = default_policy;
-            madio = make_queue dnode "madio";
-            sysio = make_queue dnode "sysio";
-            waker = None;
-            sysio_interest = 0; scan_gap = 1; rounds_since_scan = 0;
-            polls_busy = Metrics.fresh_counter scope "na.sysio.polls_busy";
-            polls_idle = Metrics.fresh_counter scope "na.sysio.polls_idle";
-            polls_saved = Metrics.fresh_counter scope "na.sysio.polls_saved";
-            iomodel = Scan; ready = Queue.create (); next_src = 0; nsources = 0;
-            ready_drains = Metrics.fresh_counter scope "na.ready.drains";
-            ready_polls = Metrics.fresh_counter scope "na.ready.polls" }
-        in
-        Metrics.gauge scope "na.ready.depth" (fun () ->
-            float_of_int (Queue.length t.ready));
-        Metrics.gauge scope "na.ready.sources" (fun () ->
-            float_of_int t.nsources);
-        Metrics.gauge scope "na.sched.scan_gap" (fun () ->
-            float_of_int t.scan_gap);
-        Metrics.gauge scope "na.madio.work_ewma" (fun () -> t.madio.ewma);
-        Metrics.gauge scope "na.sysio.work_ewma" (fun () -> t.sysio.ewma);
-        Hashtbl.replace dispatchers id t;
-        ignore (Simnet.Node.spawn dnode ~name:"netaccess" (dispatcher_loop t));
-        t)
+  match Hashtbl.find_opt dispatchers id with
+  | Some t -> t
+  | None ->
+    let scope = Metrics.Node (Simnet.Node.name dnode) in
+    let t =
+      { dnode; clk = Simnet.Node.clock dnode; pol = default_policy;
+        madio = make_queue dnode "madio";
+        sysio = make_queue dnode "sysio";
+        waker = None;
+        sysio_interest = 0; scan_gap = 1; rounds_since_scan = 0;
+        polls_busy = Metrics.fresh_counter scope "na.sysio.polls_busy";
+        polls_idle = Metrics.fresh_counter scope "na.sysio.polls_idle";
+        polls_saved = Metrics.fresh_counter scope "na.sysio.polls_saved";
+        iomodel = Scan; ready = Queue.create (); next_src = 0; nsources = 0;
+        ready_drains = Metrics.fresh_counter scope "na.ready.drains";
+        ready_polls = Metrics.fresh_counter scope "na.ready.polls" }
+    in
+    Metrics.gauge scope "na.ready.depth" (fun () ->
+        float_of_int (Queue.length t.ready));
+    Metrics.gauge scope "na.ready.sources" (fun () ->
+        float_of_int t.nsources);
+    Metrics.gauge scope "na.sched.scan_gap" (fun () ->
+        float_of_int t.scan_gap);
+    Metrics.gauge scope "na.madio.work_ewma" (fun () -> t.madio.ewma);
+    Metrics.gauge scope "na.sysio.work_ewma" (fun () -> t.sysio.ewma);
+    Hashtbl.replace dispatchers id t;
+    ignore (Simnet.Node.spawn dnode ~name:"netaccess" (dispatcher_loop t));
+    t
 
 let wake t =
   match t.waker with

@@ -18,36 +18,31 @@ type t = {
 }
 
 let instances : (int, t) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset instances))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset instances)
 
 let get n =
   let key = Simnet.Node.uid n in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt instances key with
-      | Some t -> t
-      | None ->
-        let scope = Metrics.Node (Simnet.Node.name n) in
-        let t =
-          { sio_node = n; core = Na_core.get n;
-            dispatched = Metrics.fresh_counter scope "sysio.dispatched";
-            edge = false; sim_stacks = [] }
-        in
-        Metrics.gauge scope "conn.count" (fun () ->
-            float_of_int
-              (List.fold_left
-                 (fun acc st -> acc + Tcp.conn_count st)
-                 0 t.sim_stacks));
-        Metrics.gauge scope "conn.bytes_resident" (fun () ->
-            float_of_int
-              (List.fold_left
-                 (fun acc st -> acc + Tcp.resident_bytes st)
-                 0 t.sim_stacks));
-        Hashtbl.replace instances key t;
-        t)
+  match Hashtbl.find_opt instances key with
+  | Some t -> t
+  | None ->
+    let scope = Metrics.Node (Simnet.Node.name n) in
+    let t =
+      { sio_node = n; core = Na_core.get n;
+        dispatched = Metrics.fresh_counter scope "sysio.dispatched";
+        edge = false; sim_stacks = [] }
+    in
+    Metrics.gauge scope "conn.count" (fun () ->
+        float_of_int
+          (List.fold_left
+             (fun acc st -> acc + Tcp.conn_count st)
+             0 t.sim_stacks));
+    Metrics.gauge scope "conn.bytes_resident" (fun () ->
+        float_of_int
+          (List.fold_left
+             (fun acc st -> acc + Tcp.resident_bytes st)
+             0 t.sim_stacks));
+    Hashtbl.replace instances key t;
+    t
 
 let node t = t.sio_node
 

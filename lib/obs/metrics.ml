@@ -13,35 +13,26 @@ let scope_name = function
   | Node n -> "node:" ^ n
   | Link l -> "link:" ^ l
 
-(* Registration is mutex-guarded: metric objects are mostly created at
-   setup, but sharded runs lazily register per-link/per-node metrics
-   from worker domains. The returned counters/summaries themselves are
-   not guarded — counters are atomic, summaries and histograms follow
-   the owner-shard discipline (one writer). *)
 let tbl : (string * string, value) Hashtbl.t = Hashtbl.create 64
-let lock = Mutex.create ()
-let () = Engine.Lifecycle.on_reset (fun () ->
-    Mutex.protect lock (fun () -> Hashtbl.reset tbl))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset tbl)
 
 let key scope name = (scope_name scope, name)
 
-let find scope name =
-  Mutex.protect lock (fun () -> Hashtbl.find_opt tbl (key scope name))
+let find scope name = Hashtbl.find_opt tbl (key scope name)
 
 let get_or_create scope name ~wrong ~make ~unwrap =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt tbl (key scope name) with
-      | Some v ->
-        (match unwrap v with
-         | Some x -> x
-         | None ->
-           invalid_arg
-             (Printf.sprintf "Metrics: %s/%s already registered as a %s"
-                (scope_name scope) name wrong))
-      | None ->
-        let x, v = make () in
-        Hashtbl.replace tbl (key scope name) v;
-        x)
+  match find scope name with
+  | Some v ->
+    (match unwrap v with
+     | Some x -> x
+     | None ->
+       invalid_arg
+         (Printf.sprintf "Metrics: %s/%s already registered as a %s"
+            (scope_name scope) name wrong))
+  | None ->
+    let x, v = make () in
+    Hashtbl.replace tbl (key scope name) v;
+    x
 
 let counter scope name =
   get_or_create scope name ~wrong:"non-counter"
@@ -66,22 +57,20 @@ let histogram scope name =
 
 let fresh_counter scope name =
   let c = Stats.Counter.create name in
-  Mutex.protect lock (fun () -> Hashtbl.replace tbl (key scope name) (Counter c));
+  Hashtbl.replace tbl (key scope name) (Counter c);
   c
 
 let fresh_summary scope name =
   let s = Stats.Summary.create () in
-  Mutex.protect lock (fun () -> Hashtbl.replace tbl (key scope name) (Summary s));
+  Hashtbl.replace tbl (key scope name) (Summary s);
   s
 
 let fresh_histogram scope name =
   let h = Stats.Histogram.create () in
-  Mutex.protect lock (fun () ->
-      Hashtbl.replace tbl (key scope name) (Histogram h));
+  Hashtbl.replace tbl (key scope name) (Histogram h);
   h
 
-let gauge scope name f =
-  Mutex.protect lock (fun () -> Hashtbl.replace tbl (key scope name) (Gauge f))
+let gauge scope name f = Hashtbl.replace tbl (key scope name) (Gauge f)
 
 let scope_rank s =
   (* Global first, then nodes, then links. *)
@@ -91,10 +80,9 @@ let scope_rank s =
 
 let all () =
   let items =
-    Mutex.protect lock (fun () ->
-        Hashtbl.fold
-          (fun (sname, name) v acc -> (sname, name, v) :: acc)
-          tbl [])
+    Hashtbl.fold
+      (fun (sname, name) v acc -> (sname, name, v) :: acc)
+      tbl []
   in
   let cmp (s1, n1, _) (s2, n2, _) =
     match compare (scope_rank s1) (scope_rank s2) with
@@ -120,4 +108,4 @@ let all () =
        (scope, name, v))
     items
 
-let reset () = Mutex.protect lock (fun () -> Hashtbl.reset tbl)
+let reset () = Hashtbl.reset tbl

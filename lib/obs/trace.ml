@@ -19,21 +19,13 @@ let default_capacity = 65_536
 let st =
   { buf = [||]; head = 0; written = 0; seq = 0; enabled = false }
 
-(* The ring is process-global; in a sharded run every shard records into
-   it, so writes are serialized. [on] stays a bare flag read — the
-   disabled hot path keeps its measured zero overhead, and enabling is a
-   setup-time action. Record order across shards follows lock-acquisition
-   order (compare exported traces by (ts, node), not by seq). *)
-let lock = Mutex.create ()
-
 let on () = st.enabled
 
 let clear () =
-  Mutex.protect lock (fun () ->
-      Array.fill st.buf 0 (Array.length st.buf) None;
-      st.head <- 0;
-      st.written <- 0;
-      st.seq <- 0)
+  Array.fill st.buf 0 (Array.length st.buf) None;
+  st.head <- 0;
+  st.written <- 0;
+  st.seq <- 0
 
 let enable ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Trace.enable: capacity must be >= 1";
@@ -46,15 +38,14 @@ let disable () = st.enabled <- false
 let capacity () = Array.length st.buf
 
 let add ~ts ~dur ~node ev =
-  Mutex.protect lock (fun () ->
-      let cap = Array.length st.buf in
-      if cap > 0 then begin
-        let seq = st.seq in
-        st.seq <- seq + 1;
-        st.buf.(st.head) <- Some { ts; dur; node; seq; ev };
-        st.head <- (st.head + 1) mod cap;
-        st.written <- st.written + 1
-      end)
+  let cap = Array.length st.buf in
+  if cap > 0 then begin
+    let seq = st.seq in
+    st.seq <- seq + 1;
+    st.buf.(st.head) <- Some { ts; dur; node; seq; ev };
+    st.head <- (st.head + 1) mod cap;
+    st.written <- st.written + 1
+  end
 
 let now node = Engine.Clock.now (Simnet.Node.clock node)
 
@@ -84,15 +75,14 @@ let length () = Stdlib.min st.written (Array.length st.buf)
 let dropped () = Stdlib.max 0 (st.written - Array.length st.buf)
 
 let records () =
-  Mutex.protect lock (fun () ->
-      let cap = Array.length st.buf in
-      if cap = 0 || st.written = 0 then []
-      else begin
-        let len = Stdlib.min st.written cap in
-        (* Oldest record: at 0 until the ring wraps, then at [head]. *)
-        let start = if st.written <= cap then 0 else st.head in
-        List.init len (fun i ->
-            match st.buf.((start + i) mod cap) with
-            | Some r -> r
-            | None -> assert false)
-      end)
+  let cap = Array.length st.buf in
+  if cap = 0 || st.written = 0 then []
+  else begin
+    let len = length () in
+    (* Oldest record: at 0 until the ring wraps, then at [head]. *)
+    let start = if st.written <= cap then 0 else st.head in
+    List.init len (fun i ->
+        match st.buf.((start + i) mod cap) with
+        | Some r -> r
+        | None -> assert false)
+  end

@@ -12,26 +12,16 @@ type t = {
   wan : Simnet.Segment.t;
 }
 
-(* [sharded] places every SAN island on its own shard of the conservative
-   parallel engine — the natural cut: intra-island traffic (the SAN, the
-   loopbacks) stays shard-local and only WAN frames cross, with the WAN
-   latency as lookahead. Run with [Padico.run ~domains]. *)
-let generate ?seed ?prefs ?backend ?(sharded = false)
-    ?(san = Simnet.Presets.myrinet2000)
+let generate ?seed ?prefs ?backend ?(san = Simnet.Presets.myrinet2000)
     ?(wan = Simnet.Presets.vthd) ~clusters ~nodes_per_cluster () =
   if clusters < 1 then invalid_arg "Gridgen.generate: clusters < 1";
   if nodes_per_cluster < 1 then
     invalid_arg "Gridgen.generate: nodes_per_cluster < 1";
-  let grid =
-    Padico.create ?seed ?prefs ?backend
-      ?shards:(if sharded then Some clusters else None) ()
-  in
+  let grid = Padico.create ?seed ?prefs ?backend () in
   let islands =
     List.init clusters (fun c ->
         List.init nodes_per_cluster (fun i ->
-            Padico.add_node
-              ?shard:(if sharded then Some c else None)
-              grid (Printf.sprintf "c%d-n%d" c i)))
+            Padico.add_node grid (Printf.sprintf "c%d-n%d" c i)))
   in
   List.iteri
     (fun c island ->
@@ -66,7 +56,6 @@ type edge = {
   e_tail : float;
   e_seed : int;
   e_bufsize : int;  (* per-connection snd/rcv buffer budget *)
-  e_sharded : bool;
 }
 
 type edge_stats = {
@@ -76,16 +65,13 @@ type edge_stats = {
   es_aborted : int;  (* mid-handshake aborts *)
   es_resets : int;
   es_served : int;  (* requests parsed and acked by the shards *)
+  es_last_ack : int;  (* clock time the last request's ack reached its
+                         client (0 if none did) *)
 }
 
 let edge_port = 7100
 
-(* [sharded] gives every node — frontend and client host alike — its own
-   shard: the topology is one flat WAN, so there is no island structure to
-   exploit and per-node shards expose the maximum parallelism the
-   conservative engine can find in it. *)
-let edge ?(seed = 42) ?prefs ?backend ?(sharded = false)
-    ?(wan = Simnet.Presets.vthd)
+let edge ?(seed = 42) ?prefs ?backend ?(wan = Simnet.Presets.vthd)
     ?(shards = 4) ?(client_nodes = 16) ?(bufsize = 4096) ?(capacity = true)
     ~clients ~churn ~tail () =
   if clients < 1 then invalid_arg "Gridgen.edge: clients < 1";
@@ -94,26 +80,20 @@ let edge ?(seed = 42) ?prefs ?backend ?(sharded = false)
   if churn < 0.0 || churn > 1.0 then
     invalid_arg "Gridgen.edge: churn not in [0, 1]";
   if tail <= 1.0 then invalid_arg "Gridgen.edge: tail must exceed 1.0";
-  let grid =
-    Padico.create ~seed ?prefs ?backend
-      ?shards:(if sharded then Some (shards + client_nodes) else None) ()
-  in
-  let place i = if sharded then Some i else None in
+  let grid = Padico.create ~seed ?prefs ?backend () in
   let sh =
-    List.init shards (fun i ->
-        Padico.add_node ?shard:(place i) grid (Printf.sprintf "edge-s%d" i))
+    List.init shards (fun i -> Padico.add_node grid (Printf.sprintf "edge-s%d" i))
   in
   let cl =
     List.init client_nodes (fun i ->
-        Padico.add_node ?shard:(place (shards + i)) grid
-          (Printf.sprintf "edge-c%d" i))
+        Padico.add_node grid (Printf.sprintf "edge-c%d" i))
   in
   let wan_seg = Padico.add_segment grid wan ~name:"edge-wan" (sh @ cl) in
   if capacity then
     List.iter (fun n -> Sysio.set_edge (Sysio.get n)) (sh @ cl);
   { e_grid = grid; e_shards = sh; e_clients = cl; e_wan = wan_seg;
     e_port = edge_port; e_nclients = clients; e_churn = churn; e_tail = tail;
-    e_seed = seed; e_bufsize = bufsize; e_sharded = sharded }
+    e_seed = seed; e_bufsize = bufsize }
 
 (* Heavy-tailed request sizes: Pareto(xm = 64, alpha = tail) clamped to
    [64 B, 64 KB] — most requests tiny, the tail real. *)
@@ -214,24 +194,21 @@ let serve_shard e served node =
           Sysio.close conn
         end)
 
-let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
-  (* Atomic tallies: in a sharded run the server-side [served] bumps on
-     frontend shards race the client-side counters; the snapshot into
-     [edge_stats] happens after the run returns. Single-domain cost is
-     negligible next to the TCP machinery per request. *)
-  let established = Atomic.make 0 and requests = Atomic.make 0 in
-  let reconnects = Atomic.make 0 and aborted = Atomic.make 0 in
-  let resets = Atomic.make 0 and served = Atomic.make 0 in
+let run_edge ?(ramp_ns = 5_000) ?active ?until e =
+  let established = ref 0 and requests = ref 0 in
+  let reconnects = ref 0 and aborted = ref 0 in
+  let resets = ref 0 and last_ack = ref 0 in
+  let served = Atomic.make 0 in
   List.iter (serve_shard e served) e.e_shards;
   let rng = Rng.create (e.e_seed lxor 0x5eed) in
-  let shards = Array.of_list e.e_shards in
+  let frontends = Array.of_list e.e_shards in
   let cnodes = Array.of_list e.e_clients in
-  let nshards = Array.length shards in
+  let nfrontends = Array.length frontends in
   let active = match active with Some a -> min a e.e_nclients | None -> e.e_nclients in
   let starts = Array.make (max 1 e.e_nclients) (fun () -> ()) in
   for i = 0 to e.e_nclients - 1 do
     let cnode = cnodes.(i mod Array.length cnodes) in
-    let shard = shards.(i mod nshards) in
+    let frontend = frontends.(i mod nfrontends) in
     let sio = Sysio.get cnode in
     let stack = Sysio.stack_on sio e.e_wan in
     let clk = Simnet.Node.clock cnode in
@@ -266,12 +243,12 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
         in
         let c =
           Sysio.connect ~sndbuf:e.e_bufsize ~rcvbuf:e.e_bufsize sio stack
-            ~dst:(Simnet.Node.id shard) ~port:e.e_port
+            ~dst:(Simnet.Node.id frontend) ~port:e.e_port
             (fun c ev ->
                match ev with
                | Drivers.Tcp.Established ->
-                 Atomic.incr established;
-                 if reconnect then Atomic.incr reconnects;
+                 incr established;
+                 if reconnect then incr reconnects;
                  if rounds > 0 then push ()
                | Drivers.Tcp.Writable -> push ()
                | Drivers.Tcp.Readable ->
@@ -282,7 +259,8 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
                    | Some b -> ack := !ack + Bytebuf.length b
                  done;
                  if !ack >= 4 && !sent >= !total then begin
-                   Atomic.incr requests;
+                   incr requests;
+                   last_ack := Clock.now clk;
                    if rounds >= 2 then begin
                      (* Churn: tear the connection down and come back to
                         the same logical port on a fresh ephemeral one. *)
@@ -295,7 +273,7 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
                  Sysio.unwatch sio c;
                  Sysio.close c
                | Drivers.Tcp.Reset ->
-                 Atomic.incr resets;
+                 incr resets;
                  Sysio.unwatch sio c)
         in
         conn := Some c
@@ -305,12 +283,12 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
            re-dials: the accept path must survive half-open churn. *)
         let c =
           Sysio.connect ~sndbuf:e.e_bufsize ~rcvbuf:e.e_bufsize sio stack
-            ~dst:(Simnet.Node.id shard) ~port:e.e_port (fun _ _ -> ())
+            ~dst:(Simnet.Node.id frontend) ~port:e.e_port (fun _ _ -> ())
         in
         Clock.after clk 1_000 (fun () ->
             Sysio.abort c;
             Sysio.unwatch sio c;
-            Atomic.incr aborted;
+            incr aborted;
             dial ~rounds:(if sends_request then if churns then 2 else 1 else 0)
               ~reconnect:true)
       end
@@ -326,33 +304,20 @@ let run_edge ?(ramp_ns = 5_000) ?active ?until ?domains e =
      instead of the whole population (100k up-front events would tax
      every heap operation with the population's log factor). *)
   if e.e_nclients > 0 then begin
-    if e.e_sharded then
-      (* The cascade below hops nodes — client [i]'s start would run on
-         client 0's shard and dial through a foreign TCP stack. Sharded
-         runs pre-schedule every arrival on its own node's clock instead;
-         setup is single-threaded, so seeding every shard's heap here is
-         safe, and the arrival times are identical to the cascade's. *)
-      for i = 0 to e.e_nclients - 1 do
-        let clk = Simnet.Node.clock cnodes.(i mod Array.length cnodes) in
-        Clock.after clk (i * ramp_ns) starts.(i)
-      done
-    else begin
-      let clk0 = Simnet.Node.clock (Array.get cnodes 0) in
-      let rec kick i =
-        if i < e.e_nclients then begin
-          starts.(i) ();
-          Clock.after clk0 ramp_ns (fun () -> kick (i + 1))
-        end
-      in
-      kick 0
-    end
+    let clk0 = Simnet.Node.clock (Array.get cnodes 0) in
+    let rec kick i =
+      if i < e.e_nclients then begin
+        starts.(i) ();
+        Clock.after clk0 ramp_ns (fun () -> kick (i + 1))
+      end
+    in
+    kick 0
   end;
-  (match until with
-   | Some u -> Padico.run e.e_grid ~until:u ?domains
-   | None -> Padico.run e.e_grid ?domains);
-  { es_established = Atomic.get established;
-    es_requests = Atomic.get requests;
-    es_reconnects = Atomic.get reconnects;
-    es_aborted = Atomic.get aborted;
-    es_resets = Atomic.get resets;
-    es_served = Atomic.get served }
+  Padico.run e.e_grid ?until;
+  { es_established = !established;
+    es_requests = !requests;
+    es_reconnects = !reconnects;
+    es_aborted = !aborted;
+    es_resets = !resets;
+    es_served = Atomic.get served;
+    es_last_ack = !last_ack }

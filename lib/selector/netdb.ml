@@ -146,8 +146,6 @@ let position t r = t.position.(r)
 let leader t c = t.members.(c).(0)
 let cluster_level t c = t.levels.(c)
 
-let partition t = Array.copy t.cluster_of
-
 let hop_level t a b =
   let ca = t.cluster_of.(a) and cb = t.cluster_of.(b) in
   if ca <> cb then Wan else t.levels.(ca)

@@ -62,14 +62,6 @@ val cluster_level : t -> int -> level
     single rank), [Lan] otherwise. Never [Wan]: that is the inter-cluster
     level. *)
 
-val partition : t -> int array
-(** [partition db] is the rank -> cluster-id map as a fresh array — the
-    shard plan for the conservative parallel engine: one shard per
-    SAN/LAN island puts every intra-cluster hop on its owner shard and
-    leaves only WAN frames (whose latency is the lookahead) crossing
-    shards. Feed the ids to [Net.add_node ~shard] / [Padico.add_node
-    ~shard]. *)
-
 val hop_level : t -> int -> int -> level
 (** Level of a direct message between two ranks: [Wan] across clusters,
     the cluster's level inside one. *)

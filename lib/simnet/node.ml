@@ -9,14 +9,15 @@ type t = {
   mutable state_watchers : (bool -> unit) list;
 }
 
-let next_uid = Atomic.make 0
+let next_uid = ref 0
 
 let create ?clock sim ~id ~name =
   let clock =
     match clock with Some c -> c | None -> Engine.Sim.clock sim
   in
-  { id; uid = Atomic.fetch_and_add next_uid 1 + 1; name; sim; clock;
-    busy_until = 0; up = true; state_watchers = [] }
+  incr next_uid;
+  { id; uid = !next_uid; name; sim; clock; busy_until = 0; up = true;
+    state_watchers = [] }
 
 let id t = t.id
 let uid t = t.uid

@@ -3,26 +3,6 @@ type port = {
   mutable egress_busy_until : int;
   mutable ingress_busy_until : int;
   handlers : (int, Packet.t -> unit) Hashtbl.t;
-  (* Sharded mode only: every mutable cell a send touches must belong to
-     exactly one shard. Egress state and tx counters belong to the source
-     node's shard, ingress state and rx counters to the destination's, and
-     each port draws loss/jitter from its own generator (a keyed,
-     non-advancing child of the segment stream) so no two shards ever
-     share an Rng. Classic mode leaves [prng = None] and the per-port
-     counters at zero. *)
-  mutable prng : Engine.Rng.t option;
-  mutable tx_sent : int;
-  mutable tx_bytes : int;
-  mutable tx_lost : int;
-  mutable tx_faulted : int;
-  mutable rx_delivered : int;
-  mutable rx_unclaimed : int;
-}
-
-(* Hooks into the Shard runtime, installed by [Net] at finalization. *)
-type sharding = {
-  shard_of : int -> int; (* node id -> shard index *)
-  post : src:int -> dst:int -> ts:int -> (unit -> unit) -> unit;
 }
 
 let next_uid = ref 0
@@ -47,7 +27,6 @@ type t = {
   blocked : (int * int, unit) Hashtbl.t; (* partition: (lo, hi) node ids *)
   mutable faulted : int;
   mutable link_watchers : (bool -> unit) list;
-  mutable sharding : sharding option;
 }
 
 let log = Logs.Src.create "simnet.segment"
@@ -61,35 +40,18 @@ let create sim model ~name =
     ports = Hashtbl.create 16; sent = 0; lost = 0; delivered = 0;
     unclaimed = 0; bytes = 0;
     down = false; extra_loss = 0.0; extra_latency_ns = 0;
-    blocked = Hashtbl.create 4; faulted = 0; link_watchers = [];
-    sharding = None }
+    blocked = Hashtbl.create 4; faulted = 0; link_watchers = [] }
 
 let uid t = t.uid
 let name t = t.name
 let model t = t.model
 let sim t = t.sim
 
-let port_rng t node = Engine.Rng.stream t.rng (Node.id node)
-
 let attach t node =
   if not (Hashtbl.mem t.ports (Node.id node)) then
     Hashtbl.replace t.ports (Node.id node)
       { node; egress_busy_until = 0; ingress_busy_until = 0;
-        handlers = Hashtbl.create 4;
-        prng = (match t.sharding with
-            | Some _ -> Some (port_rng t node)
-            | None -> None);
-        tx_sent = 0; tx_bytes = 0; tx_lost = 0; tx_faulted = 0;
-        rx_delivered = 0; rx_unclaimed = 0 }
-
-let enable_sharding t ~shard_of ~post =
-  t.sharding <- Some { shard_of; post };
-  (* Keyed child streams: derivation reads the segment generator without
-     advancing it, so assignment order is irrelevant and each port's draw
-     sequence is independent of its peers' traffic. *)
-  Hashtbl.iter (fun _ p -> p.prng <- Some (port_rng t p.node)) t.ports
-
-let sharded t = t.sharding <> None
+        handlers = Hashtbl.create 4 }
 
 let attached t node = Hashtbl.mem t.ports (Node.id node)
 
@@ -158,84 +120,6 @@ let clear_blocked t = Hashtbl.reset t.blocked
 
 let pair_blocked t a b = Hashtbl.mem t.blocked (pair_key a b)
 
-(* Sharded delivery: counters go to the destination port (owned by its
-   shard), never to the segment-level fields several shards would race on. *)
-let deliver_port t (dst : port) (pkt : Packet.t) =
-  match Hashtbl.find_opt dst.handlers pkt.proto with
-  | Some f ->
-    dst.rx_delivered <- dst.rx_delivered + 1;
-    f pkt
-  | None ->
-    dst.rx_unclaimed <- dst.rx_unclaimed + 1;
-    Log.debug (fun m ->
-        m "%s: no handler for %a at %a" t.name Packet.pp pkt Node.pp dst.node)
-
-(* The sharded twin of the classic [send] body below: same egress
-   serialization, loss, jitter and ingress-contention model, but virtual
-   time comes from the source node's shard simulator, randomness from the
-   source port's generator, and counters go to per-port cells. A frame
-   whose destination lives on another shard crosses through [Shard.post]
-   at its computed arrival time — which is >= now + the link's latency,
-   the floor the conservative runtime's lookahead matrix is built from —
-   and the destination-side ingress contention is resolved in the posted
-   closure, on the shard that owns the receiving port. *)
-let send_sharded t sh (pkt : Packet.t) (src : port) (dst : port) =
-  let sim = Node.sim src.node in
-  src.tx_sent <- src.tx_sent + 1;
-  src.tx_bytes <- src.tx_bytes + pkt.size;
-  if t.down || pair_blocked t pkt.src pkt.dst
-     || not (Node.is_up src.node) || not (Node.is_up dst.node)
-  then begin
-    src.tx_faulted <- src.tx_faulted + 1;
-    Log.debug (fun m -> m "%s: fault-dropped %a" t.name Packet.pp pkt)
-  end
-  else begin
-    let prng = match src.prng with Some r -> r | None -> assert false in
-    let now = Engine.Sim.now sim in
-    let busy = src.egress_busy_until > now in
-    let ser =
-      Linkmodel.serialization_ns t.model pkt.size
-      + (if busy then t.model.Linkmodel.turnaround_ns else 0)
-    in
-    let start = if busy then src.egress_busy_until else now in
-    src.egress_busy_until <- start + ser;
-    let loss = Float.min 1.0 (t.model.Linkmodel.loss +. t.extra_loss) in
-    if Engine.Rng.bool prng loss then begin
-      src.tx_lost <- src.tx_lost + 1;
-      Log.debug (fun m -> m "%s: lost %a" t.name Packet.pp pkt)
-    end
-    else begin
-      let jitter =
-        if t.model.Linkmodel.jitter_ns = 0 then 0
-        else Engine.Rng.int prng (t.model.Linkmodel.jitter_ns + 1)
-      in
-      let arrival =
-        start + ser + t.model.Linkmodel.latency_ns + t.extra_latency_ns
-        + jitter
-      in
-      let s_src = sh.shard_of pkt.src and s_dst = sh.shard_of pkt.dst in
-      if s_src = s_dst then begin
-        let rx_start =
-          if dst.ingress_busy_until > arrival then dst.ingress_busy_until
-          else arrival
-        in
-        dst.ingress_busy_until <- rx_start + ser;
-        Engine.Sim.at sim rx_start (fun () -> deliver_port t dst pkt)
-      end
-      else
-        sh.post ~src:s_src ~dst:s_dst ~ts:arrival (fun () ->
-            let rx_start =
-              if dst.ingress_busy_until > arrival then dst.ingress_busy_until
-              else arrival
-            in
-            dst.ingress_busy_until <- rx_start + ser;
-            if rx_start = arrival then deliver_port t dst pkt
-            else
-              Engine.Sim.at (Node.sim dst.node) rx_start (fun () ->
-                  deliver_port t dst pkt))
-    end
-  end
-
 let send t (pkt : Packet.t) =
   let src = port_exn t pkt.src "send source" in
   let dst = port_exn t pkt.dst "send destination" in
@@ -243,9 +127,6 @@ let send t (pkt : Packet.t) =
     invalid_arg
       (Printf.sprintf "Segment %s: frame of %d bytes exceeds MTU %d" t.name
          pkt.size t.model.Linkmodel.mtu);
-  match t.sharding with
-  | Some sh -> send_sharded t sh pkt src dst
-  | None ->
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + pkt.size;
   if t.down || pair_blocked t pkt.src pkt.dst
@@ -292,14 +173,9 @@ let send t (pkt : Packet.t) =
   end
   end
 
-(* Accessors sum the classic segment-level fields (zero in sharded mode)
-   with the per-port cells (zero in classic mode), so observers read the
-   same totals in both modes. Read after the run for exact values. *)
-let sum t f = Hashtbl.fold (fun _ p acc -> acc + f p) t.ports 0
-
-let frames_sent t = t.sent + sum t (fun p -> p.tx_sent)
-let frames_faulted t = t.faulted + sum t (fun p -> p.tx_faulted)
-let frames_lost t = t.lost + sum t (fun p -> p.tx_lost)
-let frames_delivered t = t.delivered + sum t (fun p -> p.rx_delivered)
-let frames_unclaimed t = t.unclaimed + sum t (fun p -> p.rx_unclaimed)
-let bytes_sent t = t.bytes + sum t (fun p -> p.tx_bytes)
+let frames_sent t = t.sent
+let frames_faulted t = t.faulted
+let frames_lost t = t.lost
+let frames_delivered t = t.delivered
+let frames_unclaimed t = t.unclaimed
+let bytes_sent t = t.bytes

@@ -36,30 +36,6 @@ val send : t -> Packet.t -> unit
     or destination is not attached, or when the frame exceeds the MTU. The
     frame is delivered asynchronously (or lost). *)
 
-(** {1 Sharded mode}
-
-    Wired up by [Net] when the grid is created with [~shards]: every send
-    then takes virtual time from the {e source node's} shard simulator,
-    randomness from a per-port generator, and counters land in per-port
-    cells — so sends racing on a shared segment from different shards never
-    touch the same mutable state. Frames whose destination lives on another
-    shard cross through [post] at their computed arrival time (always
-    [>= now + latency], the floor the conservative runtime's lookahead is
-    built from); destination-side ingress contention is resolved on the
-    shard that owns the receiving port. *)
-
-val enable_sharding :
-  t ->
-  shard_of:(int -> int) ->
-  post:(src:int -> dst:int -> ts:int -> (unit -> unit) -> unit) ->
-  unit
-(** [enable_sharding t ~shard_of ~post] switches {!send} to the sharded
-    path. [shard_of] maps a node id to its shard index; [post] is
-    [Engine.Shard.post] partially applied to the runtime. Ports attached
-    later inherit the sharded setup. *)
-
-val sharded : t -> bool
-
 (** {1 Dynamic fault overlay}
 
     Transient faults layered over the immutable {!Linkmodel}: link up/down,

@@ -38,11 +38,7 @@ type inst = {
 }
 
 let instances : (int * int, inst) Hashtbl.t = Hashtbl.create 16
-let registry_lock = Mutex.create ()
-
-let () =
-  Engine.Lifecycle.on_reset (fun () ->
-      Mutex.protect registry_lock (fun () -> Hashtbl.reset instances))
+let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset instances)
 
 (* Every message on the control lchannel starts with this header; under
    credit flow control its cost is granted back the moment the dispatcher
@@ -207,37 +203,36 @@ let get mio =
     ( Simnet.Node.uid (Madio.node mio),
       Simnet.Segment.uid (Madeleine.Mad.segment (Madio.mad mio)) )
   in
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt instances key with
-      | Some t -> t
-      | None ->
-        let lchan = Madio.open_lchannel mio ~id:control_lchannel in
-        (* The dispatcher only parks payload in per-connection queues; the
-           real consumer is the application above, so credits are granted
-           manually (header now, payload on drain). *)
-        Madio.set_manual_grant lchan true;
-        let t =
-          { mio; lchan; conns = Hashtbl.create 16; listeners = Hashtbl.create 8;
-            next_id = 0 }
-        in
-        Madio.set_recv lchan (fun ~src msg -> handle t ~src msg);
-        (* Simulated NIC link-status interrupt: MadIO stays fail-fast — when
-           the carrier drops, every open connection dies immediately (the
-           resilience layer above may then re-select another adapter) instead
-           of hanging on a silent link. *)
-        Simnet.Segment.on_link_state (Madeleine.Mad.segment (Madio.mad mio))
-          (fun up ->
-             if not up then
-               Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
-               |> List.sort (fun a b -> compare a.local_id b.local_id)
-               |> List.iter (fun c ->
-                   if not c.closed then begin
-                     c.closed <- true;
-                     release_rx t c;
-                     Vl.notify c.vl (Vl.Failed "link down")
-                   end));
-        Hashtbl.replace instances key t;
-        t)
+  match Hashtbl.find_opt instances key with
+  | Some t -> t
+  | None ->
+    let lchan = Madio.open_lchannel mio ~id:control_lchannel in
+    (* The dispatcher only parks payload in per-connection queues; the
+       real consumer is the application above, so credits are granted
+       manually (header now, payload on drain). *)
+    Madio.set_manual_grant lchan true;
+    let t =
+      { mio; lchan; conns = Hashtbl.create 16; listeners = Hashtbl.create 8;
+        next_id = 0 }
+    in
+    Madio.set_recv lchan (fun ~src msg -> handle t ~src msg);
+    (* Simulated NIC link-status interrupt: MadIO stays fail-fast — when
+       the carrier drops, every open connection dies immediately (the
+       resilience layer above may then re-select another adapter) instead
+       of hanging on a silent link. *)
+    Simnet.Segment.on_link_state (Madeleine.Mad.segment (Madio.mad mio))
+      (fun up ->
+         if not up then
+           Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+           |> List.sort (fun a b -> compare a.local_id b.local_id)
+           |> List.iter (fun c ->
+               if not c.closed then begin
+                 c.closed <- true;
+                 release_rx t c;
+                 Vl.notify c.vl (Vl.Failed "link down")
+               end));
+    Hashtbl.replace instances key t;
+    t
 
 let connect mio ~dst ~port =
   let t = get mio in

@@ -336,6 +336,10 @@ let circuit_cost ~clusters ~nodes_per_cluster =
   let live0 = (Gc.stat ()).Gc.live_words in
   let mi0, pr0, ma0 = Gc.counters () in
   let cts = Padico.circuit g.Scenario.Gridgen.grid ~name:"cost" g.nodes in
+  (* [Gc.counters] only accounts minor words up to the last minor
+     collection: flush, or a build that fits in the free minor heap
+     reads as almost no allocation. *)
+  Gc.minor ();
   let mi1, pr1, ma1 = Gc.counters () in
   Gc.full_major ();
   let live1 = (Gc.stat ()).Gc.live_words in

@@ -388,6 +388,56 @@ let test_strategies_agree () =
        Tutil.check_int (Printf.sprintf "allreduce agrees at %d" r) sf sm)
     flat
 
+(* ---------- grid scale: the E16 grid pinned ---------- *)
+
+(* 8 Myrinet islands x 125 ranks on one VTHD backbone, seed 4242: every
+   rank XOR-allreduces its own 512 B pattern, then receives rank 0's
+   broadcast. The virtual end time, the checksum total and the WAN
+   traffic are exact pins of the single event heap's dispatch order.
+   Running twice in one process with [Padico.reset] between also checks
+   that no module-level registry carries state from one grid into the
+   next. *)
+let e16_digest () =
+  Padico.reset ();
+  let g =
+    Scenario.Gridgen.generate ~seed:4242 ~clusters:8 ~nodes_per_cluster:125 ()
+  in
+  let grid = g.Scenario.Gridgen.grid in
+  let nodes = g.Scenario.Gridgen.nodes in
+  let groups = Group.create grid ~name:"e16" nodes in
+  let sum = ref 0 in
+  let hs =
+    List.mapi
+      (fun r node ->
+         Padico.spawn grid node (fun () ->
+             let a =
+               Group.allreduce groups.(r) ~op:Group.Bxor
+                 (Tutil.pattern_buf ~seed:(r + 1) 512)
+             in
+             sum := !sum + Bb.checksum a;
+             let b =
+               Group.bcast groups.(r) ~root:0
+                 (if r = 0 then Tutil.pattern_buf ~seed:42 512
+                  else Bb.create 0)
+             in
+             sum := !sum + Bb.checksum b))
+      nodes
+  in
+  Tutil.run_grid grid ~until:(Engine.Time.sec 3600);
+  List.iter Tutil.assert_done hs;
+  ( Padico.now grid, !sum, Group.wan_messages groups.(0),
+    Group.wan_bytes groups.(0) )
+
+let test_e16_grid_pinned () =
+  let check (now, sum, msgs, bytes) =
+    Tutil.check_int "virtual end time (ns)" 1_070_263_242 now;
+    Tutil.check_int "checksum total" (-47_920_367_025_155_824) sum;
+    Tutil.check_int "wan messages" 21 msgs;
+    Tutil.check_int "wan bytes" 11_088 bytes
+  in
+  check (e16_digest ());
+  check (e16_digest ())
+
 let () =
   Alcotest.run "collectives"
     [ ("netdb",
@@ -414,4 +464,7 @@ let () =
            test_barrier_wan_round_trip ]);
       ("faults",
        [ Alcotest.test_case "deadline, no hang" `Quick test_deadline_no_hang ]);
+      ("grid scale",
+       [ Alcotest.test_case "E16 grid pinned, twice across a reset" `Quick
+           test_e16_grid_pinned ]);
     ]
