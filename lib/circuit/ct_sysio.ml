@@ -72,6 +72,12 @@ let tx_flush tx =
   | _ -> ()
 
 let bind ct sio stack ~port ~ranks =
+  (* A port the connection key cannot hold would also raise below and be
+     taken for an existing listener: refuse it here, loudly. *)
+  if port < 0 || port > Tcp.max_port then
+    invalid_arg
+      (Printf.sprintf "Ct_sysio.bind: port %d outside [0, %d]" port
+         Tcp.max_port);
   (* Accept side (idempotent: Tcp.listen raises if bound — tolerate). *)
   (try
      Sysio.listen sio stack ~port (fun conn ->

@@ -74,6 +74,7 @@ let monitor_ring = 2 (* cluster-ring monitoring distance, each side *)
    results to retrying neighbours instead of going silent). *)
 type hstate = {
   det : Detect.t;
+  unheard : unit -> unit; (* drops the node's transport-evidence watcher *)
   dead : bool array; (* confirmed-dead ranks, the agreement's object *)
   mutable epoch : int; (* |dead| — membership epoch, tags every frame *)
   mutable digest : int; (* FNV-1a over the dead ranks, detects divergence *)
@@ -405,6 +406,10 @@ let lowest_live t h =
    with Exit -> ());
   !r
 
+let stop_detector h =
+  Detect.stop h.det;
+  h.unheard ()
+
 (* Record the newly confirmed deaths: mark them, re-partition the topology
    (Netdb.evict re-elects cluster proxies), bump the epoch tag, retarget
    the detector. If this member itself is in the dead set it has been
@@ -424,7 +429,7 @@ let mark_and_heal t h newly =
   h.digest <- digest_of_dead h.dead;
   emit_member t "epoch" t.rank ~epoch:h.epoch;
   if h.dead.(t.rank) then begin
-    Detect.stop h.det;
+    stop_detector h;
     fail t "evicted from the group"
   end
   else begin
@@ -1370,8 +1375,16 @@ let create ?(strategy = Multilevel) ?deadline_ns ?heal padico ~name nodes =
                  (deadline) — drop the late message *))
         | Some dcfg ->
           let det = Detect.create ~config:dcfg ~name:("coll." ^ name) node in
+          (* data the transport holds back (TCP reassembly behind a lost
+             segment) still proves its sender lives *)
+          let unheard =
+            Node.on_heard node (fun src ->
+                match Ct.rank_of_node_id ct src with
+                | Some r -> Detect.alive det ~peer:r
+                | None -> ())
+          in
           let h =
-            { det; dead = Array.make n false; epoch = 0;
+            { det; unheard; dead = Array.make n false; epoch = 0;
               digest = empty_digest; resynced = Array.make n (-1); inc = 0;
               contrib = None; centries = [||]; done_seq = 0;
               done_op = Barrier; done_root = 0; drecord = None;
@@ -1478,7 +1491,7 @@ let evictions t = match t.heal with Some h -> h.evictions | None -> 0
 let retire t =
   match t.heal with
   | Some h ->
-    Detect.stop h.det;
+    stop_detector h;
     (match h.deadline with
      | Some tm ->
        Clock.cancel tm;

@@ -27,7 +27,8 @@ type verdict = Alive | Suspect | Confirmed
 
 type peer_state = {
   prank : int;
-  mutable last_heard : int;
+  mutable last_heard : int;  (* last message: the inter-arrival base *)
+  mutable last_alive : int;  (* last transport evidence ({!alive}) *)
   mutable last_sent : int;
   mutable floor : int;  (* minimum modelled mean, ns *)
   samples : int array;  (* inter-arrival ring, ns *)
@@ -81,9 +82,11 @@ let running t = t.run
    WAN silences the peer for a fast-retransmit round trip — several
    milliseconds that the sub-interval inter-arrivals of pipelined
    heartbeats know nothing about. The floor keeps that stall below the
-   confirmation horizon. *)
+   confirmation horizon. When the retransmission is lost too, the stall
+   outlasts any floor; segments the transport queues for reassembly in
+   the meantime still count, through [alive]. *)
 let phi_of t ps ~now =
-  let elapsed = now - ps.last_heard in
+  let elapsed = now - Int.max ps.last_heard ps.last_alive in
   if elapsed <= 0 then 0.0
   else begin
     let i = t.cfg.interval_ns in
@@ -166,6 +169,7 @@ let set_peers t ?(wan = []) ranks =
            {
              prank = r;
              last_heard = now;
+             last_alive = now;
              last_sent = now;
              floor;
              samples = Array.make (max 1 t.cfg.window) 0;
@@ -176,6 +180,14 @@ let set_peers t ?(wan = []) ranks =
            })
     ranks;
   t.order <- Array.of_list ranks
+
+let refute (t : t) ps =
+  if ps.state = Suspect then begin
+    ps.state <- Alive;
+    t.refutes <- t.refutes + 1;
+    emit t "refute" ps.prank ~phi_milli:0;
+    match t.cbs with Some c -> c.on_refute ps.prank | None -> ()
+  end
 
 let heard (t : t) ~peer =
   if t.run then
@@ -194,13 +206,16 @@ let heard (t : t) ~peer =
           ps.next_slot <- (ps.next_slot + 1) mod w
         end;
         ps.last_heard <- now;
-        if ps.state = Suspect then begin
-          ps.state <- Alive;
-          t.refutes <- t.refutes + 1;
-          emit t "refute" peer ~phi_milli:0;
-          match t.cbs with Some c -> c.on_refute peer | None -> ()
-        end
+        refute t ps
       end
+
+let alive (t : t) ~peer =
+  if t.run then
+    match Hashtbl.find_opt t.tbl peer with
+    | Some ps when ps.state <> Confirmed ->
+      ps.last_alive <- Clock.now t.clock;
+      refute t ps
+    | Some _ | None -> ()
 
 let sent t ~peer =
   if t.run then

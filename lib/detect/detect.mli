@@ -20,10 +20,11 @@
       time).
     - {b Piggybacked heartbeats.} Any application traffic counts:
       callers report every message received from a peer with {!heard} and
-      every message sent to one with {!sent}. The sweep emits an explicit
-      heartbeat (via the [send_hb] callback) only to monitored peers the
-      caller has not written to for a full interval — an active group
-      sends no extra frames.
+      every message sent to one with {!sent}, and data a transport
+      accepted but cannot deliver yet with {!alive}. The sweep emits an
+      explicit heartbeat (via the [send_hb] callback) only to monitored
+      peers the caller has not written to for a full interval — an
+      active group sends no extra frames.
 
     The detector never sends anything itself; it only calls back. A
     transport that {e knows} a peer is gone (TCP reset on a real socket)
@@ -89,6 +90,14 @@ val peers : t -> int list
 val heard : t -> peer:int -> unit
 (** Any message arrived from [peer]: record the inter-arrival sample and
     refute an active suspicion. Unknown or confirmed peers: no-op. *)
+
+val alive : t -> peer:int -> unit
+(** The transport accepted data from [peer] that no message carries yet
+    (TCP holding it in reassembly behind a lost segment, or the first
+    segments of a long message). Restarts the silence clock and refutes
+    an active suspicion, but records no inter-arrival sample: a stalled
+    stream's heartbeats still prove the peer lives. Unknown or confirmed
+    peers: no-op. *)
 
 val sent : t -> peer:int -> unit
 (** Any message was sent to [peer]: suppresses the next explicit

@@ -41,22 +41,61 @@ let max_rto = 60_000_000_000
 
 let initial_rto = 1_000_000_000
 
-(* Sequence-addressed ring buffer for the send side: holds [snd_una, wseq). *)
-type ring = { rdata : Bytes.t; rcap : int }
+(* Sequence-addressed ring buffer for the send side: a raw buffer of
+   [sndbuf_cap] bytes where sequence [s] lives at [s mod sndbuf_cap]. Only
+   [snd_una, wseq) is ever meaningful; the ring exists only while that
+   range is non-empty (see [get_ring] / [release_ring]). *)
+let no_ring = Bytes.empty
 
-let ring_create cap = { rdata = Bytes.make cap '\000'; rcap = cap }
-
-let ring_write r ~seq (src : Bytebuf.t) ~src_off ~len =
-  for i = 0 to len - 1 do
-    Bytes.set r.rdata ((seq + i) mod r.rcap) (Bytebuf.get src (src_off + i))
-  done
+let ring_write r ~seq (src : Bytebuf.t) ~len =
+  let cap = Bytes.length r in
+  let pos = seq mod cap in
+  let first = min len (cap - pos) in
+  Bytes.blit src.Bytebuf.data src.Bytebuf.off r pos first;
+  Bytes.blit src.Bytebuf.data (src.Bytebuf.off + first) r 0 (len - first)
 
 let ring_read r ~seq ~len =
-  let out = Bytebuf.create len in
-  for i = 0 to len - 1 do
-    Bytebuf.set out i (Bytes.get r.rdata ((seq + i) mod r.rcap))
-  done;
-  out
+  let out = Bytes.create len in
+  let cap = Bytes.length r in
+  let pos = seq mod cap in
+  let first = min len (cap - pos) in
+  Bytes.blit r pos out 0 first;
+  Bytes.blit r 0 out first (len - first);
+  Bytebuf.of_bytes out
+
+(* Shared by every connection that has seen no reordering; never
+   written. *)
+let no_ooo : (int, Bytebuf.t) Hashtbl.t = Hashtbl.create 1
+
+(* Demultiplexing keys are fields packed into one int, so a lookup
+   allocates nothing and hashes one word. A field that does not fit its
+   width raises rather than aliasing another connection. Ports are wider
+   than on the wire: [Padico.circuit] hands out a block of 1 + n^2 ports
+   per circuit, so a grid with a few 1024-rank circuits needs millions.
+   2 x 23 + 16 bits fill the 62 bits of a non-negative int. *)
+module Itbl = Engine.Itbl
+
+let port_bits = 23
+let node_bits = 16
+let max_port = (1 lsl port_bits) - 1
+let max_node = (1 lsl node_bits) - 1
+
+let check_field what bits v =
+  if v < 0 || v lsr bits <> 0 then
+    invalid_arg
+      (Printf.sprintf "Tcp: %s %d outside [0, 2^%d)" what v bits)
+
+let conn_key ~lport ~rnode ~rport =
+  check_field "local port" port_bits lport;
+  check_field "remote port" port_bits rport;
+  check_field "remote node" node_bits rnode;
+  (((lport lsl port_bits) lor rport) lsl node_bits) lor rnode
+
+let stack_key seg node =
+  let uid = Simnet.Segment.uid seg and id = Simnet.Node.id node in
+  check_field "segment uid" 31 uid;
+  check_field "node id" 31 id;
+  (uid lsl 31) lor id
 
 type conn = {
   stack : stack;
@@ -65,9 +104,9 @@ type conn = {
   rport : int;
   mutable st : state;
   (* --- send side --- *)
-  (* Allocated on the first [write]: an accepted-but-quiet connection (the
-     common state at edge-gateway scale) carries no ring at all. *)
-  mutable sndring : ring option;
+  (* [no_ring] while nothing written is unacknowledged: taken from the
+     pool on [write], returned once [snd_una] reaches [wseq]. *)
+  mutable sndring : Bytes.t;
   sndbuf_cap : int;
   mutable snd_una : int; (* oldest unacknowledged sequence *)
   mutable snd_nxt : int; (* next sequence to transmit *)
@@ -92,7 +131,7 @@ type conn = {
   mutable persist_armed : bool;
   (* --- receive side --- *)
   mutable rcv_nxt : int;
-  ooo : (int, Bytebuf.t) Hashtbl.t;
+  mutable ooo : (int, Bytebuf.t) Hashtbl.t; (* [no_ooo] until reordering *)
   rcvq : Bytebuf.t Queue.t;
   mutable rcvq_len : int;
   mutable ooo_len : int;
@@ -115,7 +154,7 @@ and listener = { l_accept : conn -> unit; l_sndbuf : int; l_rcvbuf : int }
 and stack = {
   seg : Simnet.Segment.t;
   snode : Simnet.Node.t;
-  conns : (int * int * int, conn) Hashtbl.t; (* (lport, rnode, rport) *)
+  conns : conn Itbl.t; (* [conn_key lport rnode rport] *)
   listeners : (int, listener) Hashtbl.t;
   mutable next_ephemeral : int;
   (* Capacity-mode capabilities, all off by default so the classic paths
@@ -123,12 +162,12 @@ and stack = {
   mutable timer_svc : (after_ns:int -> (unit -> unit) -> unit) option;
       (* RTO/persist timers go here instead of the engine heap when set *)
   mutable reap : bool; (* remove fully-closed conns from [conns] *)
-  mutable pooled_rings : bool; (* send rings from Bytebuf.Pool size classes *)
   mutable reaped : int;
 }
 
-let stacks : (int * int, stack) Hashtbl.t = Hashtbl.create 16
-let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset stacks)
+(* (segment uid, node id) packed like [conn_key]. *)
+let stacks : stack Itbl.t = Itbl.create 16
+let () = Engine.Lifecycle.on_reset (fun () -> Itbl.reset stacks)
 
 let node s = s.snode
 let segment s = s.seg
@@ -146,6 +185,7 @@ let retransmits c = c.retransmits
 let retransmit_breakdown c = (c.rto_events, c.fast_events, c.partial_events)
 let bytes_sent c = c.tx_bytes
 let bytes_received c = c.rx_bytes
+let has_reassembly_table c = c.ooo != no_ooo
 let sim c = Simnet.Segment.sim c.stack.seg
 
 (* Per-connection timers (RTO, persist probes) go through the stack's
@@ -157,27 +197,27 @@ let tcp_after c ns f =
   | Some svc -> svc ~after_ns:ns f
   | None -> Sim.after (sim c) ns f
 
-(* The send ring is allocated on first write (never for accepted-but-quiet
-   connections) and, when the stack pools rings, recycled through the
-   size-classed slab pool across the connect/disconnect churn. *)
+(* A connection holds a send ring only while written bytes are
+   unacknowledged: it takes one from the size-classed slab pool on
+   [write] and parks it again once everything written is acked, and at
+   close and reap. Where a ring lives has no simulated cost. *)
 let get_ring c =
-  match c.sndring with
-  | Some r -> r
-  | None ->
-    let r =
-      if c.stack.pooled_rings then
-        { rdata = Bytebuf.Pool.alloc_bytes c.sndbuf_cap; rcap = c.sndbuf_cap }
-      else ring_create c.sndbuf_cap
-    in
-    c.sndring <- Some r;
-    r
+  if c.sndring == no_ring then c.sndring <- Bytebuf.Pool.alloc_bytes c.sndbuf_cap;
+  c.sndring
 
 let release_ring c =
-  match c.sndring with
-  | None -> ()
-  | Some r ->
-    c.sndring <- None;
-    if c.stack.pooled_rings then Bytebuf.Pool.release_bytes r.rdata
+  if c.sndring != no_ring then begin
+    Bytebuf.Pool.release_bytes c.sndring;
+    c.sndring <- no_ring
+  end
+
+(* The payload of sequences [seq, seq + len). A go-back-N rewind can
+   re-send bytes below [snd_una] after a late cumulative ACK; the peer
+   has them all and discards them unread, so once the ring is released
+   their contents do not matter. *)
+let flight_bytes c ~seq ~len =
+  if c.sndring == no_ring then Bytebuf.create len
+  else ring_read c.sndring ~seq ~len
 
 (* Advertised window counts only undelivered in-order data (as in BSD: the
    reassembly queue is not charged against the socket buffer until
@@ -224,18 +264,23 @@ let cancel_timer c =
   c.timer_gen <- c.timer_gen + 1;
   c.timer_armed <- false
 
+(* Nothing is transmitted from [Closed_st]: its ring goes back to the
+   pool at once. *)
+let set_closed c =
+  c.st <- Closed_st;
+  cancel_timer c;
+  release_ring c
+
 (* Fully-closed connections leave the stack's table when reaping is on
    (edge/capacity mode): the classic default keeps them forever, exactly as
    before — a late segment for a reaped connection is answered with RST,
    which the default path must never emit (it would perturb loss RNG). *)
 let reap_conn c =
   if c.stack.reap && c.st = Closed_st then begin
-    cancel_timer c;
-    release_ring c;
-    let key = (c.lport, c.rnode, c.rport) in
-    match Hashtbl.find_opt c.stack.conns key with
+    let key = conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport in
+    match Itbl.find_opt c.stack.conns key with
     | Some c' when c' == c ->
-      Hashtbl.remove c.stack.conns key;
+      Itbl.remove c.stack.conns key;
       c.stack.reaped <- c.stack.reaped + 1
     | Some _ | None -> ()
   end
@@ -273,8 +318,7 @@ and on_timeout c =
      c.syn_attempts <- c.syn_attempts + 1;
      if c.syn_attempts >= 5 then begin
        (* Give up like ETIMEDOUT: the peer has no reachable TCP service. *)
-       c.st <- Closed_st;
-       cancel_timer c;
+       set_closed c;
        c.cb Reset;
        reap_conn c
      end
@@ -289,8 +333,7 @@ and on_timeout c =
           SYN-ACK retransmits forever and the gateway leaks the slot. The
           connection was never accepted, so there is no callback to fire.
           Classic mode keeps the historical endless retransmission. *)
-       c.st <- Closed_st;
-       cancel_timer c;
+       set_closed c;
        reap_conn c
      end
      else
@@ -303,8 +346,7 @@ and on_timeout c =
           retransmissions — the peer is gone (reset lost, host vanished).
           Surface it as a reset so the watcher tears the connection
           down. *)
-       c.st <- Closed_st;
-       cancel_timer c;
+       set_closed c;
        c.cb Reset;
        reap_conn c
      end
@@ -328,7 +370,7 @@ and try_output c =
       let pending = c.wseq - c.snd_nxt in
       if pending > 0 && usable > 0 then begin
         let len = min (min m pending) usable in
-        let payload = ring_read (get_ring c) ~seq:c.snd_nxt ~len in
+        let payload = flight_bytes c ~seq:c.snd_nxt ~len in
         (* One RTT sample in flight at a time (Karn: only new data). *)
         if c.rtt_seq = None then begin
           c.rtt_seq <- Some (c.snd_nxt + len);
@@ -346,7 +388,7 @@ and try_output c =
         tcp_after c c.rto (fun () ->
             c.persist_armed <- false;
             if c.st <> Closed_st && c.rwnd = 0 && c.wseq > c.snd_nxt then begin
-              let payload = ring_read (get_ring c) ~seq:c.snd_nxt ~len:1 in
+              let payload = flight_bytes c ~seq:c.snd_nxt ~len:1 in
               send_seg c ~seq:c.snd_nxt payload;
               c.snd_nxt <- c.snd_nxt + 1;
               arm_timer c
@@ -369,7 +411,7 @@ let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
   let handshake = st = Syn_sent || st = Syn_received in
   let c =
     { stack; lport; rnode; rport; st;
-      sndring = None; sndbuf_cap = sndbuf;
+      sndring = no_ring; sndbuf_cap = sndbuf;
       snd_una = (if handshake then 0 else 1);
       snd_nxt = 1; wseq = 1; fin_pending = false; fin_seq = -1;
       cwnd = 2 * mss stack; ssthresh = 1 lsl 30;
@@ -377,13 +419,13 @@ let make_conn stack ~lport ~rnode ~rport ~st ~sndbuf ~rcvbuf =
       srtt = 0.0; rttvar = 0.0; rto = initial_rto; rtt_seq = None;
       rtt_time = 0; timer_gen = 0; timer_armed = false; syn_attempts = 0;
       strikes = 0; persist_armed = false;
-      rcv_nxt = 1; ooo = Hashtbl.create 8; rcvq = Queue.create ();
+      rcv_nxt = 1; ooo = no_ooo; rcvq = Queue.create ();
       rcvq_len = 0; ooo_len = 0; rcvbuf_cap = rcvbuf; last_wnd_sent = rcvbuf;
       peer_fin = None; peer_closed_delivered = false;
       cb = (fun _ -> ()); retransmits = 0; rto_events = 0; fast_events = 0;
       partial_events = 0; tx_bytes = 0; rx_bytes = 0 }
   in
-  Hashtbl.replace stack.conns (lport, rnode, rport) c;
+  Itbl.replace stack.conns (conn_key ~lport ~rnode ~rport) c;
   c
 
 let update_rtt c =
@@ -412,7 +454,7 @@ let deliver_data c (data : Bytebuf.t) =
 
 (* Pull contiguous data out of the out-of-order store. *)
 let drain_ooo c =
-  let progress = ref true in
+  let progress = ref (c.ooo_len > 0) in
   while !progress do
     progress := false;
     Hashtbl.iter
@@ -442,7 +484,7 @@ let enter_close_states c =
   let our_fin_acked = c.fin_seq >= 0 && c.snd_una > c.fin_seq in
   match (c.peer_fin, our_fin_acked) with
   | Some fin_seq, true when c.rcv_nxt > fin_seq ->
-    c.st <- Closed_st;
+    set_closed c;
     reap_conn c
   | Some _, _ -> if c.st = Established_st then c.st <- Close_wait
   | None, _ -> if c.fin_pending && c.st = Established_st then c.st <- Fin_wait
@@ -453,6 +495,7 @@ let handle_ack c ~ackno ~wnd ~paylen =
   if ackno > c.snd_una then begin
     let acked = ackno - c.snd_una in
     c.snd_una <- ackno;
+    if ackno >= c.wseq then release_ring c;
     c.strikes <- 0;
     update_rtt c;
     let m = mss c.stack in
@@ -465,7 +508,7 @@ let handle_ack c ~ackno ~wnd ~paylen =
       (* NewReno partial ack: retransmit the next hole, deflate. *)
       let len = min m (c.wseq - c.snd_una) in
       if len > 0 then begin
-        let payload = ring_read (get_ring c) ~seq:c.snd_una ~len in
+        let payload = flight_bytes c ~seq:c.snd_una ~len in
         send_seg c ~seq:c.snd_una payload;
         c.retransmits <- c.retransmits + 1;
         c.partial_events <- c.partial_events + 1;
@@ -505,7 +548,7 @@ let handle_ack c ~ackno ~wnd ~paylen =
       c.rtt_seq <- None;
       let len = min m (c.wseq - c.snd_una) in
       if len > 0 then begin
-        let payload = ring_read (get_ring c) ~seq:c.snd_una ~len in
+        let payload = flight_bytes c ~seq:c.snd_una ~len in
         send_seg c ~seq:c.snd_una payload
       end
       else if c.fin_seq = c.snd_una then
@@ -531,8 +574,7 @@ let deliver_peer_closed c =
 let rec handle_conn_segment c (seg : wire_seg) =
   if seg.flags.rst then begin
     if c.st <> Closed_st then begin
-      c.st <- Closed_st;
-      cancel_timer c;
+      set_closed c;
       c.cb Reset;
       reap_conn c
     end
@@ -577,11 +619,14 @@ let rec handle_conn_segment c (seg : wire_seg) =
           deliver_data c fresh;
           c.rcv_nxt <- seq + paylen;
           drain_ooo c;
-          had_new := true
+          had_new := true;
+          Simnet.Node.heard c.stack.snode ~src:c.rnode
         end
         else if not (Hashtbl.mem c.ooo seq) then begin
+          if c.ooo == no_ooo then c.ooo <- Hashtbl.create 8;
           Hashtbl.replace c.ooo seq seg.payload;
-          c.ooo_len <- c.ooo_len + paylen
+          c.ooo_len <- c.ooo_len + paylen;
+          Simnet.Node.heard c.stack.snode ~src:c.rnode
         end;
         (* Immediate ACK: in-order data acknowledges progress, anything else
            produces a duplicate ACK for fast retransmit. *)
@@ -600,8 +645,10 @@ let rec handle_conn_segment c (seg : wire_seg) =
        | _ -> ())
 
 let handle_segment stack (pkt : Simnet.Packet.t) (seg : wire_seg) =
-  let key = (seg.dport, pkt.Simnet.Packet.src, seg.sport) in
-  match Hashtbl.find_opt stack.conns key with
+  let key =
+    conn_key ~lport:seg.dport ~rnode:pkt.Simnet.Packet.src ~rport:seg.sport
+  in
+  match Itbl.find_opt stack.conns key with
   | Some c -> handle_conn_segment c seg
   | None ->
     if seg.flags.rst then ()
@@ -641,22 +688,23 @@ let handle_packet stack (pkt : Simnet.Packet.t) =
   | _ -> ()
 
 let attach seg node =
-  let key = (Simnet.Segment.uid seg, Simnet.Node.id node) in
-  match Hashtbl.find_opt stacks key with
+  let key = stack_key seg node in
+  match Itbl.find_opt stacks key with
   | Some s -> s
   | None ->
     let s =
-      { seg; snode = node; conns = Hashtbl.create 16;
+      { seg; snode = node; conns = Itbl.create 16;
         listeners = Hashtbl.create 8; next_ephemeral = 32_768;
-        timer_svc = None; reap = false; pooled_rings = false; reaped = 0 }
+        timer_svc = None; reap = false; reaped = 0 }
     in
     Simnet.Segment.set_handler seg node ~proto:Simnet.Packet.Proto.tcp
       (handle_packet s);
-    Hashtbl.replace stacks key s;
+    Itbl.replace stacks key s;
     s
 
 let listen ?(sndbuf = default_bufsize) ?(rcvbuf = default_bufsize) stack ~port
     cb =
+  check_field "listen port" port_bits port;
   if Hashtbl.mem stack.listeners port then
     invalid_arg (Printf.sprintf "Tcp.listen: port %d already bound" port);
   Hashtbl.replace stack.listeners port
@@ -667,10 +715,10 @@ let unlisten stack ~port = Hashtbl.remove stack.listeners port
 let connect ?(sndbuf = default_bufsize) ?(rcvbuf = default_bufsize) stack ~dst
     ~port =
   let lport = stack.next_ephemeral in
-  stack.next_ephemeral <- stack.next_ephemeral + 1;
   let c =
     make_conn stack ~lport ~rnode:dst ~rport:port ~st:Syn_sent ~sndbuf ~rcvbuf
   in
+  stack.next_ephemeral <- lport + 1;
   send_seg c ~flags:{ syn = true; ack = false; fin = false; rst = false }
     ~seq:0 (Bytebuf.create 0);
   arm_timer c;
@@ -684,7 +732,7 @@ let write c (buf : Bytebuf.t) =
     let space = c.sndbuf_cap - (c.wseq - c.snd_una) in
     let n = min space (Bytebuf.length buf) in
     if n > 0 then begin
-      ring_write (get_ring c) ~seq:c.wseq buf ~src_off:0 ~len:n;
+      ring_write (get_ring c) ~seq:c.wseq buf ~len:n;
       c.wseq <- c.wseq + n;
       try_output c
     end;
@@ -737,10 +785,9 @@ let close c =
   match c.st with
   | Closed_st -> ()
   | Syn_sent ->
-    c.st <- Closed_st;
-    cancel_timer c;
-    release_ring c;
-    Hashtbl.remove c.stack.conns (c.lport, c.rnode, c.rport)
+    set_closed c;
+    Itbl.remove c.stack.conns
+      (conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport)
   | Syn_received | Established_st | Fin_wait | Close_wait ->
     if not c.fin_pending then begin
       c.fin_pending <- true;
@@ -752,10 +799,9 @@ let abort c =
   if c.st <> Closed_st then begin
     send_rst c.stack ~dst:c.rnode ~sport:c.lport ~dport:c.rport ~seq:c.snd_nxt
       ~ackno:c.rcv_nxt;
-    c.st <- Closed_st;
-    cancel_timer c;
-    release_ring c;
-    Hashtbl.remove c.stack.conns (c.lport, c.rnode, c.rport)
+    set_closed c;
+    Itbl.remove c.stack.conns
+      (conn_key ~lport:c.lport ~rnode:c.rnode ~rport:c.rport)
   end
 
 (* ---------- capacity-mode capabilities and accounting ---------- *)
@@ -764,15 +810,15 @@ let set_timer_service stack svc = stack.timer_svc <- Some svc
 
 let set_reap stack v = stack.reap <- v
 
-let set_pooled_rings stack v = stack.pooled_rings <- v
-
 let reaped stack = stack.reaped
 
-let conn_count stack = Hashtbl.length stack.conns
+let conn_count stack = Itbl.length stack.conns
 
 (* Fixed estimate of the connection record, its hashtable slot and the
-   empty receive structures (queue, 8-bucket ooo table) on a 64-bit
-   runtime: ~50 words of record + ~14 words of containers, rounded up.
+   empty receive queue on a 64-bit runtime: ~50 words of record + a few
+   words of containers, rounded up. The reassembly table is shared until
+   the first out-of-order segment and the send ring is held only while
+   written bytes are unacknowledged, so neither is in the estimate.
    The memory-budget regression test pins the reported per-connection
    total against this constant, so accidental per-connection allocations
    show up as a budget violation rather than only as RSS at 100k. *)
@@ -780,8 +826,8 @@ let conn_overhead_bytes = 512
 
 let conn_resident_bytes c =
   conn_overhead_bytes
-  + (match c.sndring with Some r -> r.rcap | None -> 0)
+  + Bytes.length c.sndring
   + c.rcvq_len + c.ooo_len
 
 let resident_bytes stack =
-  Hashtbl.fold (fun _ c acc -> acc + conn_resident_bytes c) stack.conns 0
+  Itbl.fold (fun _ c acc -> acc + conn_resident_bytes c) stack.conns 0

@@ -13,7 +13,14 @@
 
     The API is callback/event based (non-blocking), mirroring BSD sockets
     driven by a poll loop; SysIO and the personalities build blocking
-    behaviour above it. *)
+    behaviour above it.
+
+    A connection holds memory only for what is in flight. Its send ring
+    comes from the {!Engine.Bytebuf.Pool} size-classed slabs on [write]
+    and goes back once every written byte is acknowledged, and at close.
+    Its reassembly table is created by the first out-of-order segment.
+    Connections are demultiplexed through one int key packing
+    (local port, remote node, remote port). *)
 
 type stack
 (** Per-(node, segment) protocol instance. *)
@@ -45,8 +52,9 @@ val mss : stack -> int
 val listen :
   ?sndbuf:int -> ?rcvbuf:int -> stack -> port:int -> (conn -> unit) -> unit
 (** Accept connections on [port]; the callback fires once per connection
-    when it reaches [Established]. Raises if the port is taken. [sndbuf] /
-    [rcvbuf] size the buffers of {e accepted} connections (default
+    when it reaches [Established]. Raises [Invalid_argument] if the port
+    is taken or outside [[0, max_port]]. [sndbuf] / [rcvbuf] size the
+    buffers of {e accepted} connections (default
     {!default_bufsize}) — edge gateways listen with small buffers so 100k
     accepted connections fit a fixed byte budget. *)
 
@@ -56,7 +64,17 @@ val connect :
   ?sndbuf:int -> ?rcvbuf:int -> stack -> dst:int -> port:int -> conn
 (** Active open. The returned connection is in [Syn_sent]; subscribe with
     {!set_event_cb} for [Established] / [Reset]. Buffer sizes default to
-    {!default_bufsize}. *)
+    {!default_bufsize}. Ephemeral ports count up from 32768 and are not
+    reused: raises [Invalid_argument] once they pass {!max_port}, or when
+    [port] exceeds {!max_port} or [dst] exceeds {!max_node}. *)
+
+val max_port : int
+(** Largest port the packed connection key holds: [2^23 - 1], wider than
+    a wire port because [Padico.circuit] reserves [1 + n^2] ports per
+    circuit of [n] ranks. *)
+
+val max_node : int
+(** Largest peer node id the packed connection key holds: [2^16 - 1]. *)
 
 val default_bufsize : int
 
@@ -106,6 +124,10 @@ val retransmit_breakdown : conn -> int * int * int
 val bytes_sent : conn -> int
 val bytes_received : conn -> int
 
+val has_reassembly_table : conn -> bool
+(** Whether an out-of-order segment has ever made this connection build
+    its own reassembly table. *)
+
 (** {2 Capacity-mode capabilities}
 
     All off by default; the classic stack behaves exactly as before (the
@@ -121,14 +143,10 @@ val set_timer_service :
 
 val set_reap : stack -> bool -> unit
 (** When on, fully-closed connections (FIN handshake complete, RST, or
-    SYN give-up) are removed from the stack's table and their pooled
-    buffers released. Off (default): closed connections are kept, and no
-    RST is ever emitted for a late segment to one — the historical
-    behaviour the deterministic replays pin. *)
-
-val set_pooled_rings : stack -> bool -> unit
-(** Allocate send rings from the {!Engine.Bytebuf.Pool} size-classed slab
-    pool (and return them on reap/close) instead of fresh [Bytes]. *)
+    SYN give-up) are removed from the stack's table. Off (default):
+    closed connections are kept, and no RST is ever emitted for a late
+    segment to one — the historical behaviour the deterministic replays
+    pin. *)
 
 val reaped : stack -> int
 (** Connections removed by {!set_reap}. *)
@@ -140,9 +158,10 @@ val conn_overhead_bytes : int
     overhead; the basis of the per-connection byte budget. *)
 
 val conn_resident_bytes : conn -> int
-(** [conn_overhead_bytes] + allocated send ring + buffered receive bytes
-    (in-order and out-of-order). An idle accepted connection reports
-    exactly [conn_overhead_bytes]: its ring is lazy. *)
+(** [conn_overhead_bytes] + held send ring + buffered receive bytes
+    (in-order and out-of-order). A connection holds a ring only while
+    bytes it wrote are unacknowledged, so an idle connection, or one whose
+    writes are all acked, reports exactly [conn_overhead_bytes]. *)
 
 val conn_count : stack -> int
 

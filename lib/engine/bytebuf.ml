@@ -122,12 +122,11 @@ module Pool = struct
   let pool_misses () = !misses
   let pooled () = List.length !free
 
-  (* Size-classed slabs for long-lived per-connection buffers (TCP send
-     rings are the motivating user: one ring per connection, released and
-     reused across the connect/disconnect churn of an edge gateway). The
+  (* Size-classed slabs for per-connection buffers (TCP send rings: a
+     connection holds one only while it has unacknowledged bytes). The
      class key is the exact byte length: connection buffers come in a
      handful of configured sizes, so the table stays tiny. *)
-  let sized : (int, bytes list) Hashtbl.t = Hashtbl.create 8
+  let sized : bytes list Itbl.t = Itbl.create 8
 
   let sized_hits_c = ref 0
   let sized_misses_c = ref 0
@@ -135,9 +134,9 @@ module Pool = struct
 
   let alloc_bytes n =
     if n <= 0 then invalid_arg "Bytebuf.Pool.alloc_bytes: non-positive length";
-    match Hashtbl.find_opt sized n with
+    match Itbl.find_opt sized n with
     | Some (b :: rest) ->
-      Hashtbl.replace sized n rest;
+      Itbl.replace sized n rest;
       incr sized_hits_c;
       sized_parked := !sized_parked - n;
       b
@@ -149,9 +148,9 @@ module Pool = struct
     let n = Bytes.length b in
     if n > 0 then begin
       let cur =
-        match Hashtbl.find_opt sized n with Some l -> l | None -> []
+        match Itbl.find_opt sized n with Some l -> l | None -> []
       in
-      Hashtbl.replace sized n (b :: cur);
+      Itbl.replace sized n (b :: cur);
       sized_parked := !sized_parked + n
     end
 
@@ -163,11 +162,15 @@ module Pool = struct
     free := [];
     hits := 0;
     misses := 0;
-    Hashtbl.reset sized;
+    Itbl.reset sized;
     sized_hits_c := 0;
     sized_misses_c := 0;
     sized_parked := 0
 end
+
+(* Parked slabs belong to the grid that released them: drop them with the
+   other per-grid registries. *)
+let () = Lifecycle.on_reset Pool.reset
 
 let get b i =
   if i < 0 || i >= b.len then invalid_arg "Bytebuf.get";

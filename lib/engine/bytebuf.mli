@@ -111,10 +111,13 @@ module Pool : sig
 
   (** {3 Size-classed slabs}
 
-      A second free-list family for {e long-lived} fixed-size buffers —
-      per-connection TCP send rings under connect/disconnect churn. Each
-      distinct requested length is its own class; contents of a reused
-      slab are unspecified. *)
+      A second free-list family for fixed-size buffers that live as long
+      as some state does: every TCP send ring is one. A connection takes
+      its ring on [write] and parks it again once all it wrote is
+      acknowledged, and at close, so a ring is held only while bytes are
+      in flight and idle connections share the parked ones. Each distinct
+      requested length is its own class; contents of a reused slab are
+      unspecified. *)
 
   val alloc_bytes : int -> bytes
   (** [alloc_bytes n] is an [n]-byte raw buffer, reusing a released one of
@@ -132,4 +135,7 @@ module Pool : sig
   (** Total bytes currently parked in the sized free lists. *)
 
   val reset : unit -> unit
+  (** Drop every parked slab and zero the counters. Also run by
+      {!Lifecycle.reset_registries} ([Padico.reset]), so slabs parked by
+      one grid do not outlive it. *)
 end

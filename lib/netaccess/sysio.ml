@@ -11,7 +11,7 @@ type t = {
   core : Na_core.t;
   dispatched : Stats.Counter.t;
   (* Edge (capacity) mode: readiness-queue event routing, timewheel
-     per-connection timers, pooled send rings, closed-connection reaping.
+     per-connection timers, closed-connection reaping.
      Off by default — the classic per-event post path, byte-identical. *)
   mutable edge : bool;
   mutable sim_stacks : Tcp.stack list; (* for the byte-budget gauges *)
@@ -85,13 +85,12 @@ let () = Engine.Lifecycle.on_reset (fun () -> Hashtbl.reset host_stacks)
 
 (* Edge capabilities on a simulated TCP stack: per-connection timers on the
    shared per-clock timewheel (one engine event per occupied slot instead
-   of one per RTO), closed-connection reaping, pooled send rings. *)
+   of one per RTO) and closed-connection reaping. *)
 let enable_edge_stack t st =
   let wheel = Timewheel.for_clock (Simnet.Node.clock t.sio_node) in
   Tcp.set_timer_service st (fun ~after_ns f ->
       ignore (Timewheel.arm wheel ~after_ns f));
-  Tcp.set_reap st true;
-  Tcp.set_pooled_rings st true
+  Tcp.set_reap st true
 
 let set_edge t =
   if not t.edge then begin

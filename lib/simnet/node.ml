@@ -7,6 +7,7 @@ type t = {
   mutable busy_until : int;
   mutable up : bool;
   mutable state_watchers : (bool -> unit) list;
+  mutable heard_watchers : (int -> unit) list;
 }
 
 let next_uid = ref 0
@@ -17,7 +18,7 @@ let create ?clock sim ~id ~name =
   in
   incr next_uid;
   { id; uid = !next_uid; name; sim; clock; busy_until = 0; up = true;
-    state_watchers = [] }
+    state_watchers = []; heard_watchers = [] }
 
 let id t = t.id
 let uid t = t.uid
@@ -54,6 +55,17 @@ let set_up t up =
   end
 
 let on_state t f = t.state_watchers <- f :: t.state_watchers
+
+let on_heard t f =
+  (* a fresh closure: its identity is the subscription *)
+  let w src = f src in
+  t.heard_watchers <- w :: t.heard_watchers;
+  fun () -> t.heard_watchers <- List.filter (fun g -> g != w) t.heard_watchers
+
+let heard t ~src =
+  match t.heard_watchers with
+  | [] -> ()
+  | ws -> List.iter (fun f -> f src) ws
 
 let spawn t ?name f =
   let name =

@@ -54,6 +54,17 @@ val on_state : t -> (bool -> unit) -> unit
     (mirroring {!Segment.on_link_state} for carrier loss); watchers cannot
     be removed, so subscribers must keep stale closures inert themselves. *)
 
+val on_heard : t -> (int -> unit) -> unit -> unit
+(** Subscribe to transport evidence that a peer is alive: the callback
+    receives the node id of a peer whose data a transport on this node
+    just accepted, whether or not it can be delivered yet (TCP holding it
+    in reassembly behind a lost segment). Returns the function that
+    unsubscribes it; calling that again is a no-op. *)
+
+val heard : t -> src:int -> unit
+(** Report such evidence (transport side). Costs one list test when
+    nobody subscribed. *)
+
 val spawn : t -> ?name:string -> (unit -> unit) -> Engine.Proc.handle
 (** Spawn a process "running on" this node (naming/logging convenience). *)
 

@@ -1,8 +1,12 @@
+(* Node-id and protocol tables; [nodes]'s order is the one a polymorphic
+   [Hashtbl] would give. *)
+module Itbl = Engine.Itbl
+
 type port = {
   node : Node.t;
   mutable egress_busy_until : int;
   mutable ingress_busy_until : int;
-  handlers : (int, Packet.t -> unit) Hashtbl.t;
+  handlers : (Packet.t -> unit) Itbl.t;
 }
 
 let next_uid = ref 0
@@ -13,7 +17,7 @@ type t = {
   sim : Engine.Sim.t;
   model : Linkmodel.t;
   rng : Engine.Rng.t;
-  ports : (int, port) Hashtbl.t;
+  ports : port Itbl.t;
   mutable sent : int;
   mutable lost : int;
   mutable delivered : int;
@@ -37,7 +41,7 @@ let create sim model ~name =
   incr next_uid;
   let model = Linkmodel.validate model in
   { uid = !next_uid; name; sim; model; rng = Engine.Rng.split (Engine.Sim.rng sim);
-    ports = Hashtbl.create 16; sent = 0; lost = 0; delivered = 0;
+    ports = Itbl.create 16; sent = 0; lost = 0; delivered = 0;
     unclaimed = 0; bytes = 0;
     down = false; extra_loss = 0.0; extra_latency_ns = 0;
     blocked = Hashtbl.create 4; faulted = 0; link_watchers = [] }
@@ -48,17 +52,17 @@ let model t = t.model
 let sim t = t.sim
 
 let attach t node =
-  if not (Hashtbl.mem t.ports (Node.id node)) then
-    Hashtbl.replace t.ports (Node.id node)
+  if not (Itbl.mem t.ports (Node.id node)) then
+    Itbl.replace t.ports (Node.id node)
       { node; egress_busy_until = 0; ingress_busy_until = 0;
-        handlers = Hashtbl.create 4 }
+        handlers = Itbl.create 4 }
 
-let attached t node = Hashtbl.mem t.ports (Node.id node)
+let attached t node = Itbl.mem t.ports (Node.id node)
 
-let nodes t = Hashtbl.fold (fun _ p acc -> p.node :: acc) t.ports []
+let nodes t = Itbl.fold (fun _ p acc -> p.node :: acc) t.ports []
 
 let port_exn t id what =
-  match Hashtbl.find_opt t.ports id with
+  match Itbl.find_opt t.ports id with
   | Some p -> p
   | None ->
     invalid_arg
@@ -66,14 +70,14 @@ let port_exn t id what =
 
 let set_handler t node ~proto f =
   let p = port_exn t (Node.id node) "set_handler" in
-  Hashtbl.replace p.handlers proto f
+  Itbl.replace p.handlers proto f
 
 let clear_handler t node ~proto =
   let p = port_exn t (Node.id node) "clear_handler" in
-  Hashtbl.remove p.handlers proto
+  Itbl.remove p.handlers proto
 
 let deliver t (dst : port) (pkt : Packet.t) =
-  match Hashtbl.find_opt dst.handlers pkt.proto with
+  match Itbl.find_opt dst.handlers pkt.proto with
   | Some f ->
     t.delivered <- t.delivered + 1;
     f pkt
@@ -118,7 +122,9 @@ let unblock_pair t a b = Hashtbl.remove t.blocked (pair_key a b)
 
 let clear_blocked t = Hashtbl.reset t.blocked
 
-let pair_blocked t a b = Hashtbl.mem t.blocked (pair_key a b)
+(* No partition set (the common case) costs one length read per frame. *)
+let pair_blocked t a b =
+  Hashtbl.length t.blocked > 0 && Hashtbl.mem t.blocked (pair_key a b)
 
 let send t (pkt : Packet.t) =
   let src = port_exn t pkt.src "send source" in

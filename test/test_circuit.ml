@@ -102,6 +102,35 @@ let test_pstream_vlink_adapter_on_wan () =
   | [ (0, 3, p) ] -> Tutil.check_bool "big message intact" true (Bb.equal p msg)
   | _ -> Alcotest.fail "expected one message over the striped WAN link"
 
+(* Each circuit reserves 1 + n^2 TCP ports, so once a grid has built a
+   256-rank circuit the next one listens, dials and stripes on ports past
+   16 bits. Its WAN link must still carry data, over plain SysIO and over
+   parallel streams. *)
+let test_second_circuit_past_16_bit_ports () =
+  List.iter
+    (fun pstream ->
+       let prefs =
+         { Selector.Prefs.default with Selector.Prefs.pstream_on_wan = pstream;
+           cipher_untrusted = false }
+       in
+       let grid, a, b, _ = Tutil.grid_pair ~prefs Simnet.Presets.vthd in
+       ignore (Padico.circuit grid ~name:"wide" (List.init 256 (fun _ -> a)));
+       let cts = Padico.circuit grid ~name:"far" [ a; b ] in
+       Tutil.check_string "second circuit's WAN adapter"
+         (if pstream then "vlink" else "sysio")
+         (Ct.link_adapter_name cts.(0) ~dst:1);
+       let inbox = ref [] in
+       collect_msgs cts.(1) inbox;
+       let msg = Tutil.pattern_buf ~seed:9 20_000 in
+       send cts.(0) ~dst:1 ~tag:7 msg;
+       Tutil.run_grid grid;
+       (match !inbox with
+        | [ (0, 7, p) ] ->
+          Tutil.check_bool "message intact" true (Bb.equal p msg)
+        | _ -> Alcotest.fail "expected one message on the second circuit");
+       Padico.reset ())
+    [ false; true ]
+
 let test_mixed_adapters_one_circuit () =
   (* The paper: "a given instance of Circuit can use different adapters for
      different links": 2-cluster grid, SAN inside, WAN between. *)
@@ -379,6 +408,8 @@ let () =
            test_pstream_vlink_adapter_on_wan;
          Alcotest.test_case "mixed adapters" `Quick
            test_mixed_adapters_one_circuit;
+         Alcotest.test_case "second circuit past 16-bit ports" `Quick
+           test_second_circuit_past_16_bit_ports;
          Alcotest.test_case "link choice matches the pair rule" `Quick
            test_link_choice_equivalence ]);
       ("scale",

@@ -306,6 +306,15 @@ let test_matrix strategy () =
        List.iter (fun victim -> run_matrix_case ~strategy ~victim op) [ 1; 2; 3 ])
     mops
 
+(* Quadruples the random matrix once failed: a WAN segment and its fast
+   retransmit were both lost, so the peer's heartbeats sat in the
+   receiver's TCP reassembly queue past the WAN confirmation horizon and a
+   live rank was evicted. Segments accepted into reassembly now count as
+   hearing from the peer. *)
+let test_reassembly_is_hearing () =
+  run_matrix_case ~seed:160226 ~strategy:Group.Flat ~victim:1 MReduce;
+  run_matrix_case ~seed:160258 ~strategy:Group.Multilevel ~victim:1 MGather
+
 (* Randomized replay of the same matrix under fresh jitter/loss draws: any
    failing (seed, op, victim, strategy) quadruple is printed by QCheck and
    reproduces deterministically. *)
@@ -349,6 +358,8 @@ let () =
           Alcotest.test_case "six ops, multilevel" `Slow
             (test_matrix Group.Multilevel);
           Alcotest.test_case "six ops, flat" `Slow (test_matrix Group.Flat);
+          Alcotest.test_case "lost retransmit: reassembly counts as heard"
+            `Quick test_reassembly_is_hearing;
         ] );
       Tutil.qsuite "matrix-random" [ qcheck_matrix ];
     ]

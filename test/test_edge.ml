@@ -1,7 +1,8 @@
 (* Edge-gateway capacity machinery (see DESIGN.md section 15): the
    readiness-queue wakeup protocol under random interest churn, the
    timewheel firing-order contract against the reference heap, the
-   idle-connection byte-budget pin, and the Hostio fd-ceiling guard. *)
+   idle-connection byte-budget pin, send rings held only while in flight,
+   and the Hostio fd-ceiling guard. *)
 
 module Bb = Engine.Bytebuf
 module Sim = Engine.Sim
@@ -192,6 +193,60 @@ let test_idle_budget () =
   Tutil.check_bool "reap counter saw the churn" true
     (Sysio.conns_reaped sio_s >= idle)
 
+(* A send ring is held only while written bytes are unacknowledged: once
+   1 KiB is acked the ring is parked in the pool, the connection is back to
+   the overhead floor, and its next write reuses the parked slab. A
+   [Padico.reset] then drops the parked slabs with the grid. *)
+
+let test_drained_ring_parked () =
+  Padico.reset ();
+  let grid = Padico.create () in
+  let s = Padico.add_node grid "s" in
+  let c = Padico.add_node grid "c" in
+  let seg =
+    Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ s; c ]
+  in
+  let sio_s = Sysio.get s and sio_c = Sysio.get c in
+  Sysio.set_edge sio_s;
+  Sysio.set_edge sio_c;
+  let st_s = Sysio.stack_on sio_s seg and st_c = Sysio.stack_on sio_c seg in
+  let received = ref 0 in
+  Sysio.listen ~sndbuf:4096 ~rcvbuf:4096 sio_s st_s ~port:9501 (fun conn ->
+      Sysio.watch sio_s conn (function
+        | Tcp.Readable ->
+          let rec drain () =
+            match Sysio.read conn ~max:65_536 with
+            | Some b ->
+              received := !received + Bb.length b;
+              drain ()
+            | None -> ()
+          in
+          drain ()
+        | _ -> ()));
+  let conn =
+    Sysio.connect ~sndbuf:4096 ~rcvbuf:4096 sio_c st_c ~dst:(Node.id s)
+      ~port:9501 (fun _ _ -> ())
+  in
+  Tutil.run_grid grid;
+  let parked0 = Bb.Pool.sized_parked_bytes () in
+  Tutil.check_int "1 KiB accepted" 1024 (Sysio.write conn (Bb.create 1024));
+  Tutil.check_int "ring held while in flight"
+    (Tcp.conn_overhead_bytes + 4096) (Sysio.bytes_resident sio_c);
+  Tutil.run_grid grid;
+  Tutil.check_int "delivered" 1024 !received;
+  Tutil.check_int "acked: back to the overhead floor" Tcp.conn_overhead_bytes
+    (Sysio.bytes_resident sio_c);
+  Tutil.check_int "ring parked in the pool" (parked0 + 4096)
+    (Bb.Pool.sized_parked_bytes ());
+  let hits0 = Bb.Pool.sized_hits () in
+  ignore (Sysio.write conn (Bb.create 1024));
+  Tutil.check_int "next write reuses the parked ring" (hits0 + 1)
+    (Bb.Pool.sized_hits ());
+  Tutil.run_grid grid;
+  Tutil.check_int "second KiB delivered" 2048 !received;
+  Padico.reset ();
+  Tutil.check_int "reset drops parked rings" 0 (Bb.Pool.sized_parked_bytes ())
+
 (* ---------- Hostio fd ceiling ---------- *)
 
 (* select() silently corrupts memory past FD_SETSIZE; the loop must
@@ -220,6 +275,8 @@ let () =
     [ Tutil.qsuite "readiness" [ prop_readiness ];
       Tutil.qsuite "timewheel" [ prop_wheel_order ];
       ("budget",
-       [ Alcotest.test_case "idle bytes pinned" `Quick test_idle_budget ]);
+       [ Alcotest.test_case "idle bytes pinned" `Quick test_idle_budget;
+         Alcotest.test_case "drained ring parked, reset drops it" `Quick
+           test_drained_ring_parked ]);
       ("hostio",
        [ Alcotest.test_case "fd ceiling guard" `Quick test_fd_guard ]) ]

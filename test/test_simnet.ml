@@ -230,6 +230,18 @@ let test_presets_sane () =
     ((not Simnet.Presets.transcontinental.Lm.trusted)
      && Simnet.Presets.transcontinental.Lm.class_ = Lm.Lossy_wan)
 
+let test_heard_unsubscribe () =
+  let node = Simnet.Node.create (Sim.create ()) ~id:0 ~name:"n0" in
+  let log = ref [] in
+  let unsub_a = Simnet.Node.on_heard node (fun src -> log := ("a", src) :: !log) in
+  let _unsub_b = Simnet.Node.on_heard node (fun src -> log := ("b", src) :: !log) in
+  Simnet.Node.heard node ~src:3;
+  unsub_a ();
+  unsub_a ();
+  Simnet.Node.heard node ~src:4;
+  Alcotest.(check (list (pair string int)))
+    "a hears until it unsubscribes" [ ("b", 4); ("a", 3); ("b", 3) ] !log
+
 let () =
   Alcotest.run "simnet"
     [ ("linkmodel",
@@ -250,7 +262,9 @@ let () =
        ]);
       ("node",
        [ Alcotest.test_case "cpu queue" `Quick test_cpu_serializes;
-         Alcotest.test_case "cpu blocking" `Quick test_cpu_blocking ]);
+         Alcotest.test_case "cpu blocking" `Quick test_cpu_blocking;
+         Alcotest.test_case "heard watchers unsubscribe" `Quick
+           test_heard_unsubscribe ]);
       ("net",
        [ Alcotest.test_case "links_between" `Quick test_links_between;
          Alcotest.test_case "loopback" `Quick test_loopback_automatic;

@@ -303,6 +303,164 @@ let test_cwnd_grows () =
   Tutil.run_net net ~until:(Engine.Time.sec 20);
   Tutil.check_bool "congestion window opened" true (Tcp.cwnd c > !initial * 4)
 
+(* ---------- per-connection state: only what is in flight ---------- *)
+
+(* A sink that keeps each accepted connection's bytes, in accept order. *)
+let sink_server ?sndbuf ?rcvbuf stack ~port =
+  let got = ref [] in
+  Tcp.listen ?sndbuf ?rcvbuf stack ~port (fun conn ->
+      let b = Buffer.create 4096 in
+      got := !got @ [ (conn, b) ];
+      Tcp.set_event_cb conn (fun ev ->
+          if ev = Tcp.Readable then begin
+            let rec drain () =
+              match Tcp.read conn ~max:65_536 with
+              | Some buf ->
+                Buffer.add_string b (Bb.to_string buf);
+                drain ()
+              | None -> ()
+            in
+            drain ()
+          end));
+  got
+
+(* Write [msg] in [chunk]-byte pieces, each only once everything before it
+   is acknowledged — so the send ring goes back to the pool between
+   chunks. Returns how many chunks found the ring released. *)
+let chunked_sender c msg ~chunk =
+  let sent = ref 0 and released = ref 0 in
+  let next () =
+    if !sent < Bb.length msg
+       && Tcp.write_space c = 4096
+       && Tcp.conn_resident_bytes c = Tcp.conn_overhead_bytes
+    then begin
+      incr released;
+      let len = min chunk (Bb.length msg - !sent) in
+      let n = Tcp.write c (Bb.sub msg !sent len) in
+      sent := !sent + n
+    end
+  in
+  Tcp.set_event_cb c (fun ev ->
+      match ev with Tcp.Established | Tcp.Writable -> next () | _ -> ());
+  released
+
+(* Write all of [msg] as fast as the send buffer takes it. *)
+let bulk_sender c msg =
+  let sent = ref 0 in
+  Tcp.set_event_cb c (fun ev ->
+      match ev with
+      | Tcp.Established | Tcp.Writable ->
+        if !sent < Bb.length msg then
+          sent := !sent + Tcp.write c (Bb.sub msg !sent (Bb.length msg - !sent))
+      | _ -> ())
+
+let test_reassembly_lazy () =
+  (* Lossless, jitter-free: every segment arrives in order. *)
+  let net, _a, b, sa, sb = tcp_pair () in
+  let got = sink_server sb ~port:80 in
+  let c = Tcp.connect sa ~dst:(Simnet.Node.id b) ~port:80 in
+  let msg = Tutil.pattern_buf ~seed:5 200_000 in
+  bulk_sender c msg;
+  Tutil.run_net net;
+  let srv, buf = List.hd !got in
+  Tutil.check_bool "in-order stream delivered" true
+    (Buffer.contents buf = Bb.to_string msg);
+  Tutil.check_bool "receiver built no reassembly table" false
+    (Tcp.has_reassembly_table srv);
+  Tutil.check_bool "sender built no reassembly table" false
+    (Tcp.has_reassembly_table c);
+  (* A port never reorders frames, but every segment sent behind a lost
+     one arrives out of order. *)
+  let net, _a, b, sa, sb =
+    tcp_pair ~model:(Simnet.Presets.transcontinental_loss 0.05) ~seed:11 ()
+  in
+  let got = sink_server sb ~port:80 in
+  let c = Tcp.connect sa ~dst:(Simnet.Node.id b) ~port:80 in
+  bulk_sender c msg;
+  Tutil.run_net net ~until:(Engine.Time.sec 590);
+  let srv, buf = List.hd !got in
+  Tutil.check_bool "out-of-order arrival built the table" true
+    (Tcp.has_reassembly_table srv);
+  Tutil.check_bool "stream reassembled intact" true
+    (Buffer.contents buf = Bb.to_string msg)
+
+let test_ring_cycles_under_loss () =
+  (* Two connections on one stack take turns with the pooled rings while
+     8 % loss forces retransmissions, including go-back-N rewinds that
+     re-send bytes already acknowledged after the ring went back. *)
+  Bb.Pool.reset ();
+  let net, _a, b, sa, sb =
+    tcp_pair ~model:(Simnet.Presets.transcontinental_loss 0.08) ~seed:9 ()
+  in
+  let got = sink_server sb ~port:80 in
+  let total = 60_000 in
+  let conns =
+    List.init 2 (fun i ->
+        let c =
+          Tcp.connect ~sndbuf:4096 sa ~dst:(Simnet.Node.id b) ~port:80
+        in
+        let msg = Tutil.pattern_buf ~seed:(31 + i) total in
+        (c, msg, chunked_sender c msg ~chunk:3000))
+  in
+  Tutil.run_net net ~until:(Engine.Time.sec 590);
+  (* Server side keyed by the client's port. *)
+  let streams =
+    List.map (fun (s, b) -> (snd (Tcp.peer s), Buffer.contents b)) !got
+  in
+  List.iter
+    (fun (c, msg, released) ->
+       Tutil.check_bool "stream intact" true
+         (List.assoc (Tcp.local_port c) streams = Bb.to_string msg);
+       Tutil.check_int "a released ring before every chunk" (total / 3000)
+         !released;
+       Tutil.check_bool "loss forced retransmissions" true
+         (Tcp.retransmits c > 0);
+       Tutil.check_int "ring back in the pool" Tcp.conn_overhead_bytes
+         (Tcp.conn_resident_bytes c))
+    conns;
+  Tutil.check_bool "rings were reused" true (Bb.Pool.sized_hits () > 10)
+
+let test_key_width () =
+  let net, _a, b, sa, sb = tcp_pair () in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let dst = Simnet.Node.id b in
+  raises "listen past max_port" (fun () ->
+      Tcp.listen sa ~port:(Tcp.max_port + 1) (fun _ -> ()));
+  raises "listen -1" (fun () -> Tcp.listen sa ~port:(-1) (fun _ -> ()));
+  raises "connect past max_port" (fun () ->
+      Tcp.connect sa ~dst ~port:(Tcp.max_port + 1));
+  raises "connect past max_node" (fun () ->
+      Tcp.connect sa ~dst:(Tcp.max_node + 1) ~port:80);
+  (* A refused dial consumes no ephemeral port. *)
+  let c = Tcp.connect sa ~dst ~port:Tcp.max_port in
+  Tutil.check_int "first ephemeral port" 32_768 (Tcp.local_port c);
+  Tcp.close c;
+  (* Ports past 16 bits, as [Padico.circuit] hands out once a grid has
+     built a circuit of 256 ranks, carry data like any other. *)
+  echo_server sb ~port:72_537;
+  let c = Tcp.connect sa ~dst ~port:72_537 in
+  let msg = Tutil.pattern_buf ~seed:3 10_000 in
+  let echoed = Buffer.create 10_000 in
+  Tcp.set_event_cb c (function
+    | Tcp.Established -> ignore (Tcp.write c msg)
+    | Tcp.Readable ->
+      let rec drain () =
+        match Tcp.read c ~max:65_536 with
+        | Some buf ->
+          Buffer.add_string echoed (Bb.to_string buf);
+          drain ()
+        | None -> ()
+      in
+      drain ()
+    | _ -> ());
+  Tutil.run_net net;
+  Tutil.check_bool "echo past 16-bit ports intact" true
+    (Buffer.contents echoed = Bb.to_string msg)
+
 let () =
   Alcotest.run "tcp"
     [ ("lifecycle",
@@ -322,4 +480,11 @@ let () =
            test_flow_control_slow_reader;
          Alcotest.test_case "window reopens" `Quick test_window_reopens;
          Alcotest.test_case "cwnd grows" `Quick test_cwnd_grows ]);
+      ("state",
+       [ Alcotest.test_case "reassembly table only when out of order" `Quick
+           test_reassembly_lazy;
+         Alcotest.test_case "rings cycle through the pool under loss" `Quick
+           test_ring_cycles_under_loss;
+         Alcotest.test_case "ports beyond the key width raise" `Quick
+           test_key_width ]);
     ]
