@@ -8,94 +8,21 @@
    strategies (checksums must agree), and the broadcast WAN-message
    reduction is asserted to be at least an order of magnitude. *)
 
-module Bb = Engine.Bytebuf
 module Group = Collectives.Group
 module Gridgen = Scenario.Gridgen
+module Coll = Scenario.Coll
 
 let clusters = 8
 let per_cluster = 128
 let payload = 4096 (* bcast / reduce / allreduce *)
 let chunk = 64 (* per-rank gather / scatter *)
 
-let pattern n seed =
-  let b = Bb.create n in
-  Bb.fill_pattern b ~seed;
-  b
-
-type meas = {
-  msgs : int;  (* Group-level WAN crossings *)
-  bytes : int;
-  sum : int;  (* checksum of payload delivered, summed over ranks *)
-  ns : int;  (* virtual completion time *)
-}
-
-(* Run [body r member] as one process per rank, to quiescence; return the
-   WAN traffic this operation added and the summed delivery checksum. *)
-let measure g nodes groups label body =
-  let gm0 = groups.(0) in
-  let m0 = Group.wan_messages gm0 and b0 = Group.wan_bytes gm0 in
-  let t0 = Padico.now g.Gridgen.grid in
-  let sum = ref 0 in
-  (* Completion = when the last rank's operation finished, not when the
-     simulator drained (stale transport timers run long past the op). *)
-  let t1 = ref t0 in
-  let hs =
-    Array.mapi
-      (fun r node ->
-         Padico.spawn g.Gridgen.grid node
-           ~name:(Printf.sprintf "%s-%d" label r)
-           (fun () ->
-              sum := !sum + body r groups.(r);
-              t1 := max !t1 (Padico.now g.Gridgen.grid)))
-      nodes
+let run_strategy strategy =
+  let r =
+    Coll.run ~seed:Bhelp.seed ~clusters ~nodes_per_cluster:per_cluster
+      ~payload ~chunk ~ops:Coll.all_ops strategy
   in
-  Scenario.run g.Gridgen.grid;
-  Array.iter Scenario.fail_on_error hs;
-  { msgs = Group.wan_messages gm0 - m0;
-    bytes = Group.wan_bytes gm0 - b0;
-    sum = !sum;
-    ns = !t1 - t0 }
-
-let run_strategy strategy sname =
-  let g = Gridgen.generate ~clusters ~nodes_per_cluster:per_cluster () in
-  let nodes = Array.of_list g.Gridgen.nodes in
-  let groups =
-    Group.create ~strategy g.Gridgen.grid ~name:("e13-" ^ sname)
-      g.Gridgen.nodes
-  in
-  let n = Array.length nodes in
-  List.map
-    (fun (op_name, body) ->
-       (op_name, measure g nodes groups (sname ^ "-" ^ op_name) body))
-    [ ("barrier", fun _r gm -> Group.barrier gm; 0);
-      ("bcast",
-       fun r gm ->
-         let buf = if r = 0 then pattern payload 42 else Bb.create 0 in
-         Bb.checksum (Group.bcast gm ~root:0 buf));
-      ("reduce",
-       fun r gm ->
-         match
-           Group.reduce gm ~root:0 ~op:Group.Sum (pattern payload (r + 1))
-         with
-         | Some b -> Bb.checksum b
-         | None -> 0);
-      ("allreduce",
-       fun r gm ->
-         Bb.checksum
-           (Group.allreduce gm ~op:Group.Bxor (pattern payload (r + 1))));
-      ("gather",
-       fun r gm ->
-         match Group.gather gm ~root:0 (pattern chunk (r + 1)) with
-         | Some parts ->
-           Array.fold_left (fun a b -> a + Bb.checksum b) 0 parts
-         | None -> 0);
-      ("scatter",
-       fun r gm ->
-         let parts =
-           if r = 0 then Array.init n (fun i -> pattern chunk (i + 1))
-           else [||]
-         in
-         Bb.checksum (Group.scatter gm ~root:0 parts)) ]
+  List.map (fun (op, m) -> (Coll.op_name op, m)) r.ops
 
 (* Construction cost of one circuit over the whole grid: wall ms (min of
    3 builds; noise only adds) and bytes still live per ordered member
@@ -132,13 +59,13 @@ let run () =
        "E13: collectives at grid scale (%d clusters x %d nodes = %d ranks)"
        clusters per_cluster (clusters * per_cluster));
   circuit_build ();
-  let flat = run_strategy Group.Flat "flat" in
-  let ml = run_strategy Group.Multilevel "ml" in
+  let flat = run_strategy Group.Flat in
+  let ml = run_strategy Group.Multilevel in
   Printf.printf
     "%-10s %11s %12s %11s %12s %9s %9s\n"
     "op" "flat msgs" "flat bytes" "ml msgs" "ml bytes" "msg x" "time x";
   List.iter2
-    (fun (op, f) (op', m) ->
+    (fun (op, (f : Coll.meas)) (op', (m : Coll.meas)) ->
        assert (op = op');
        if f.sum <> m.sum then begin
          Printf.eprintf

@@ -22,155 +22,41 @@
    which short-circuits phi accrual), and wall-clock metrics land under
    e14_host.*. *)
 
-module Bb = Engine.Bytebuf
 module Time = Engine.Time
-module Proc = Engine.Proc
-module Node = Simnet.Node
 module Group = Collectives.Group
 module Netdb = Selector.Netdb
 module Gridgen = Scenario.Gridgen
-module Plan = Padico_fault.Plan
-module Inject = Padico_fault.Inject
 
-let payload = 4096
-
-let pattern n seed =
-  let b = Bb.create n in
-  Bb.fill_pattern b ~seed;
-  b
-
-(* Reference result: xor-fold of the surviving ranks' contributions —
-   what the healing retry must recompute once the victim is evicted. *)
-let expected_xor ~n ~victim =
-  let acc = Bb.create payload in
-  for r = 0 to n - 1 do
-    if r <> victim then begin
-      let c = pattern payload (r + 1) in
-      for i = 0 to payload - 1 do
-        Bb.set_u8 acc i (Bb.get_u8 acc i lxor Bb.get_u8 c i)
-      done
-    end
-  done;
-  Bb.to_string acc
-
-type outcome = {
-  recovery_ns : int;
-  wan_msgs_before : int;
-  wan_bytes_before : int;
-  wan_msgs_after : int;
-  wan_bytes_after : int;
-}
-
-(* One crash scenario on an already-generated grid. Timeline (sim ns or
-   host wall ns after start):
-     0        all ranks join a warm-up allreduce (full group, measured
-              as the pre-crash WAN cost)
-     crash_at victim node dies (host: its sockets RST)
-     ops_at   survivors post the measured allreduce — the detector has
-              not confirmed yet, so the operation genuinely stalls on
-              the dead member, then eviction rewinds and completes it
-     ...      one more allreduce in the epoch-1 steady state (the
-              post-eviction WAN cost), then retire *)
-let scenario g ~label ~victim ~heal ~crash_at ~deadline_ns ~until =
-  let grid = g.Gridgen.grid in
-  let nodes = Array.of_list g.Gridgen.nodes in
-  let n = Array.length nodes in
-  let groups =
-    Group.create ~strategy:Group.Multilevel ~deadline_ns ~heal grid
-      ~name:("e14-" ^ label) g.Gridgen.nodes
+(* One crash scenario on an already-generated grid (see Scenario.Heal);
+   exits 1 unless every survivor finished with the exact surviving-ranks
+   reduction and rank 0 ended in epoch 1 with only [victim] dead. *)
+let scenario g ~label ~victim ~interval_ns ~crash_at ~deadline_ns ~until =
+  let o =
+    Scenario.Heal.crash g ~label ~victim ~interval_ns ~crash_at ~deadline_ns
+      ~until
   in
-  let ops_at = crash_at + Time.ms 1 in
-  let want = expected_xor ~n ~victim in
-  let gm0 = groups.(0) in
-  let recovery_ns = ref 0 in
-  let wan_before = ref (0, 0) in
-  let wan_after = ref (0, 0) in
-  ignore
-    (Inject.apply (Padico.net grid)
-       [ { Plan.at_ns = crash_at;
-           action = Plan.Node_crash (Node.name nodes.(victim)) } ]);
-  let hs =
-    Array.mapi
-      (fun r node ->
-         Padico.spawn grid node ~name:(Printf.sprintf "e14-%s-%d" label r)
-           (fun () ->
-              let gm = groups.(r) in
-              let m0 = Group.wan_messages gm0 and b0 = Group.wan_bytes gm0 in
-              (try
-                 ignore
-                   (Group.allreduce gm ~op:Group.Bxor
-                      (pattern payload (r + 1)))
-               with Group.Failed _ when r = victim -> ());
-              if r = 0 && Padico.now grid >= crash_at then
-                failwith
-                  (Printf.sprintf
-                     "e14-%s: warm-up ran past the crash time (%d ns) — \
-                      raise crash_at"
-                     label (Padico.now grid));
-              if r <> victim then begin
-                let now = Padico.now grid in
-                if now < ops_at then
-                  Proc.sleep_on (Node.clock node) (ops_at - now);
-                (* By now the warm-up's cross-cluster tail has drained and
-                   no eviction traffic exists yet (detection needs several
-                   intervals of silence), so the delta is exactly one
-                   full-group allreduce. *)
-                if r = 0 then
-                  wan_before :=
-                    (Group.wan_messages gm0 - m0, Group.wan_bytes gm0 - b0);
-                let res =
-                  Group.allreduce gm ~op:Group.Bxor (pattern payload (r + 1))
-                in
-                if Bb.to_string res <> want then
-                  failwith
-                    (Printf.sprintf
-                       "e14-%s: rank %d allreduce diverged from the \
-                        surviving-ranks reduction (epoch %d, dead [%s])"
-                       label r (Group.epoch gm)
-                       (String.concat ";"
-                          (List.map string_of_int (Group.dead_ranks gm))));
-                if r = 0 then recovery_ns := Padico.now grid - crash_at;
-                (* One settling round first: the healed operation's retry
-                   tail (late acks, re-serves) must drain before the
-                   steady-state WAN cost is snapshotted, or it pollutes
-                   the "after" window. *)
-                ignore
-                  (Group.allreduce gm ~op:Group.Bxor (pattern payload (r + 1)));
-                let m1 = Group.wan_messages gm0
-                and b1 = Group.wan_bytes gm0 in
-                ignore
-                  (Group.allreduce gm ~op:Group.Bxor (pattern payload (r + 1)));
-                if r = 0 then
-                  wan_after :=
-                    (Group.wan_messages gm0 - m1, Group.wan_bytes gm0 - b1)
-              end))
-      nodes
-  in
-  Padico.run grid ~until;
-  Array.iter Group.retire groups;
-  Array.iteri
-    (fun r h ->
-       if r <> victim then
-         match Proc.result h with
-         | Some (Ok ()) -> ()
-         | Some (Error e) ->
-           Printf.eprintf "e14-%s: rank %d raised %s\n" label r
-             (Printexc.to_string e);
-           exit 1
-         | None ->
-           Printf.eprintf "e14-%s: rank %d never finished (hang)\n" label r;
-           exit 1)
-    hs;
+  List.iter
+    (fun (r, how) -> Printf.eprintf "e14-%s: rank %d %s\n" label r how)
+    o.unfinished;
+  List.iter
+    (fun r ->
+       let gm = o.groups.(r) in
+       Printf.eprintf
+         "e14-%s: rank %d allreduce diverged from the surviving-ranks \
+          reduction (epoch %d, dead [%s])\n"
+         label r (Group.epoch gm)
+         (String.concat ";" (List.map string_of_int (Group.dead_ranks gm))))
+    o.diverged;
+  if o.unfinished <> [] || o.diverged <> [] then exit 1;
+  let gm0 = o.groups.(0) in
   if Group.epoch gm0 <> 1 || Group.dead_ranks gm0 <> [ victim ] then begin
     Printf.eprintf "e14-%s: rank 0 membership wrong (epoch %d)\n" label
       (Group.epoch gm0);
     exit 1
   end;
-  let mb, bb = !wan_before and ma, ba = !wan_after in
-  { recovery_ns = !recovery_ns; wan_msgs_before = mb; wan_bytes_before = bb;
-    wan_msgs_after = ma; wan_bytes_after = ba }
+  o
 
-let report ~experiment ~case o =
+let report ~experiment ~case (o : Scenario.Heal.result) =
   let rec_ k v = Bhelp.record ~experiment (case ^ "." ^ k) v in
   Printf.printf
     "%-18s recovery %8.2f ms   wan before %6d msgs %9d B   after %6d msgs \
@@ -197,15 +83,14 @@ let run_sim () =
      every suspicion horizon stretches by the same factor, so the
      detector's shape (and the recovery story) is unchanged, just
      slower. *)
-  let heal = { Detect.default_config with Detect.interval_ns = Time.ms 10 } in
   let go ~case ~victim_of =
     let g =
       Gridgen.generate ~clusters ~nodes_per_cluster:per_cluster ()
     in
     let victim = victim_of g in
     let o =
-      scenario g ~label:case ~victim ~heal ~crash_at:(Time.ms 200)
-        ~deadline_ns:(Time.sec 2) ~until:(Time.sec 3)
+      scenario g ~label:case ~victim ~interval_ns:(Time.ms 10)
+        ~crash_at:(Time.ms 200) ~deadline_ns:(Time.sec 2) ~until:(Time.sec 3)
     in
     report ~experiment:"e14" ~case o
   in
@@ -240,12 +125,9 @@ let run_host () =
      millisecond horizon false-confirms on any epoll or GC hiccup, and
      the kill is detected through the socket RST short-circuit anyway —
      phi accrual is only the fallback here. *)
-  let heal =
-    { Detect.default_config with Detect.interval_ns = Time.ms 25 }
-  in
   let o =
-    scenario g ~label:"host-leaf" ~victim:3 ~heal ~crash_at:(Time.ms 400)
-      ~deadline_ns:(Time.sec 1) ~until:(Time.sec 3)
+    scenario g ~label:"host-leaf" ~victim:3 ~interval_ns:(Time.ms 25)
+      ~crash_at:(Time.ms 400) ~deadline_ns:(Time.sec 1) ~until:(Time.sec 3)
   in
   report ~experiment:"e14_host" ~case:"leaf" o
 

@@ -12,8 +12,6 @@
    All numbers are virtual-time; same seed and plan replay identically.
    Numbers are recorded in EXPERIMENTS.md (experiment E10). *)
 
-module Bb = Engine.Bytebuf
-module Vl = Vlink.Vl
 module Time = Engine.Time
 module Plan = Padico_fault.Plan
 module Inject = Padico_fault.Inject
@@ -34,74 +32,17 @@ let wan_latency ~loss_burst () =
                  { link = "wan"; loss = 0.02; duration_ns = Time.sec 30 } } ]);
   Bhelp.vio_latency grid ~src:a ~dst:b ~port:4000 ~size:4 ~iters:lat_iters
 
-let san_lan_pair () =
-  let grid = Padico.create () in
-  let a = Padico.add_node grid "a" in
-  let b = Padico.add_node grid "b" in
-  ignore
-    (Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]);
-  ignore
-    (Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ a; b ]);
-  (grid, a, b)
-
 let total = 8_000_000
 
 let chunk = 65_536
 
 (* Resilient round-trip echo of [total] bytes under [plan]; returns
    (goodput MB/s counting both directions, failover stats). *)
-let resilient_echo ~plan () =
-  let grid, a, b = san_lan_pair () in
-  (match plan with
-   | [] -> ()
-   | plan -> ignore (Inject.apply (Padico.net grid) plan));
-  Resilient.listen grid b ~port:9000 (fun vl ->
-      ignore
-        (Padico.spawn grid b ~name:"echo" (fun () ->
-             let buf = Bb.create chunk in
-             let rec loop () =
-               match Vl.await (Vl.post_read vl buf) with
-               | Vl.Done n ->
-                 (match Vl.await (Vl.post_write vl (Bb.sub buf 0 n)) with
-                  | Vl.Done _ -> loop ()
-                  | _ -> ())
-               | _ -> ()
-             in
-             loop ())));
-  let conn = Resilient.connect grid ~src:a ~dst:b ~port:9000 in
-  let cvl = Resilient.vl conn in
-  let t0 = ref 0 and t1 = ref 0 in
-  let received = ref 0 in
-  let h =
-    Padico.spawn grid a ~name:"client" (fun () ->
-        (match Vl.await_connected cvl with
-         | Ok () -> ()
-         | Error m -> failwith ("connect: " ^ m));
-        t0 := Padico.now grid;
-        let sent = ref 0 in
-        while !sent < total do
-          let n = min chunk (total - !sent) in
-          ignore (Vl.post_write cvl (Bb.create n));
-          sent := !sent + n
-        done;
-        let buf = Bb.create chunk in
-        let rec rd () =
-          if !received < total then
-            match Vl.await (Vl.post_read cvl buf) with
-            | Vl.Done n ->
-              received := !received + n;
-              rd ()
-            | Vl.Eof | Vl.Again -> ()
-            | Vl.Error m -> failwith ("read: " ^ m)
-        in
-        rd ();
-        t1 := Padico.now grid)
-  in
-  Bhelp.run grid;
-  Bhelp.fail_on_error h;
-  if !received < total then
-    failwith (Printf.sprintf "incomplete: %d/%d bytes" !received total);
-  (Bhelp.mb_s (2 * total) (!t1 - !t0), Resilient.stats conn)
+let resilient_echo ~plan =
+  let r = Scenario.Failover.echo ~seed:Bhelp.seed ~plan ~total ~chunk in
+  if r.received < total then
+    failwith (Printf.sprintf "incomplete: %d/%d bytes" r.received total);
+  (r.goodput_mb_s, r.stats)
 
 (* The post-failover floor: the same transfer with only the LAN. *)
 let lan_only_goodput () =
@@ -127,7 +68,7 @@ let run () =
   rec_ "wan_latency_clean_us" clean_lat;
   rec_ "wan_latency_lossburst_us" burst_lat;
 
-  let clean_bw, clean_st = resilient_echo ~plan:[] () in
+  let clean_bw, clean_st = resilient_echo ~plan:[] in
   Printf.printf "%-42s %10.2f MB/s  (driver %s)\n"
     "resilient echo 8 MB, no faults" clean_bw clean_st.Resilient.driver;
   rec_ "clean_goodput_mb_s" clean_bw;
@@ -135,7 +76,7 @@ let run () =
   let failover_plan =
     [ { Plan.at_ns = Time.ms 5; action = Plan.Link_down "san" } ]
   in
-  let fo_bw, fo_st = resilient_echo ~plan:failover_plan () in
+  let fo_bw, fo_st = resilient_echo ~plan:failover_plan in
   Printf.printf "%-42s %10.2f MB/s  (driver %s)\n"
     "resilient echo 8 MB, SAN down at 5 ms" fo_bw fo_st.Resilient.driver;
   Printf.printf "%-42s %10d\n" "  adapter switches" fo_st.Resilient.switches;

@@ -19,13 +19,8 @@
    the SAN pair rides SysIO streams, so only the Resilient windows bound
    the queue) and the wall-clock metrics land under e11_host.* keys. *)
 
-module Bb = Engine.Bytebuf
-module Vl = Vlink.Vl
 module Time = Engine.Time
-module Proc = Engine.Proc
 module Plan = Padico_fault.Plan
-module Inject = Padico_fault.Inject
-module Madio = Netaccess.Madio
 
 let total = 4_000_000
 
@@ -37,97 +32,22 @@ let consumer_delay_ns = Time.us 6_500
 
 let credit_window = 131_072
 
-let san_lan_pair () =
-  let grid = Padico.create ~backend:!Bhelp.backend () in
-  let a = Padico.add_node grid "a" in
-  let b = Padico.add_node grid "b" in
-  let san =
-    Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
-  in
-  ignore
-    (Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ a; b ]);
-  (grid, a, b, san)
+(* Windows and watermarks off: the receive queue absorbs whatever the
+   consumer has not read yet. *)
+let unbounded =
+  { Resilient.default_config with
+    tx_window = max_int; rx_high = max_int; rx_low = max_int }
 
-(* One slow-consumer transfer; returns (goodput MB/s, consumer-side peak
-   queued bytes, producer-side MadIO credit stalls). The producer lives on
-   the listening node so the measuring side (client conn) is the consumer
-   and [Resilient.stats] reports its exact receive-queue high-water mark. *)
-let slow_consumer ~bounded ~plan () =
-  let grid, a, b, san = san_lan_pair () in
-  let sim = Padico.backend grid = Padico.Sim in
-  if bounded && sim then begin
-    Madio.set_credit_window (Padico.madio grid a san) credit_window;
-    Madio.set_credit_window (Padico.madio grid b san) credit_window
-  end;
-  let config =
-    if bounded then Resilient.default_config
-    else
-      { Resilient.default_config with
-        tx_window = max_int; rx_high = max_int; rx_low = max_int }
+(* One slow-consumer transfer; returns (goodput MB/s, consumer-side
+   stats, producer-side MadIO credit stalls). *)
+let slow_consumer ~bounded ~plan =
+  let r =
+    Scenario.Flow.slow_consumer ~seed:Bhelp.seed ~backend:!Bhelp.backend
+      ~config:(if bounded then Resilient.default_config else unbounded)
+      ~credit_window:(if bounded then credit_window else 0)
+      ~plan ~total ~chunk ~delay_ns:consumer_delay_ns
   in
-  (* Producer: full speed, but through the EAGAIN discipline — a write
-     that would overrun the windows parks on [wait_writable] instead of
-     growing a queue. *)
-  Resilient.listen ~config grid b ~port:9100 (fun vl ->
-      ignore
-        (Padico.spawn grid b ~name:"producer" (fun () ->
-             let sent = ref 0 in
-             while !sent < total do
-               let n = min chunk (total - !sent) in
-               match Personalities.Vio.try_write vl (Bb.create n) with
-               | `Ok k -> sent := !sent + k
-               | `Again -> Personalities.Vio.wait_writable vl
-             done;
-             (* Hold the link until the consumer is done, then release
-                it: the host reactor only quiesces once every socket is
-                closed on both sides. *)
-             (match Vl.await (Vl.post_read vl (Bb.create 1)) with
-              | Vl.Done _ | Vl.Eof | Vl.Again | Vl.Error _ -> ());
-             Vl.close vl)));
-  let conn = Resilient.connect ~config grid ~src:a ~dst:b ~port:9100 in
-  (* Fault plans are authored relative to session establishment, which on
-     the host backend lands at an unpredictable wall-clock offset (grid
-     setup plus a real-socket HELLO exchange). Arm them when the session
-     actually comes up — once: a failover re-establishes the session, and
-     re-arming would replay the fault against the fallback link. *)
-  (match plan with
-   | [] -> ()
-   | plan ->
-     let armed = ref false in
-     Resilient.on_established conn (fun () ->
-         if not !armed then begin
-           armed := true;
-           ignore
-             (Inject.apply ~base_ns:(Padico.now grid) (Padico.net grid) plan)
-         end));
-  let cvl = Resilient.vl conn in
-  let t0 = ref 0 and t1 = ref 0 in
-  let h =
-    Padico.spawn grid a ~name:"consumer" (fun () ->
-        (match Vl.await_connected cvl with
-         | Ok () -> ()
-         | Error m -> failwith ("connect: " ^ m));
-        t0 := Padico.now grid;
-        let buf = Bb.create chunk in
-        let received = ref 0 in
-        while !received < total do
-          (match Vl.await (Vl.post_read cvl buf) with
-           | Vl.Done n -> received := !received + n
-           | Vl.Eof | Vl.Again -> failwith "consumer: premature eof"
-           | Vl.Error m -> failwith ("read: " ^ m));
-          if !received < total then
-            Proc.sleep_on (Simnet.Node.clock a) consumer_delay_ns
-        done;
-        t1 := Padico.now grid;
-        Vl.close cvl)
-  in
-  Bhelp.run grid;
-  Bhelp.fail_on_error h;
-  let st = Resilient.stats conn in
-  let stalls =
-    if sim then Madio.credit_stalls (Padico.madio grid b san) else 0
-  in
-  (Bhelp.mb_s total (!t1 - !t0), st, stalls)
+  (r.goodput_mb_s, r.stats, r.credit_stalls)
 
 let run () =
   let host = !Bhelp.backend = Padico.Host in
@@ -140,13 +60,13 @@ let run () =
     Bhelp.record ~experiment:(if host then "e11_host" else "e11")
   in
 
-  let un_bw, un_st, _ = slow_consumer ~bounded:false ~plan:[] () in
+  let un_bw, un_st, _ = slow_consumer ~bounded:false ~plan:[] in
   Printf.printf "%-42s %10.2f MB/s  (rx peak %d bytes)\n"
     "4 MB @ 100:1 mismatch, unbounded" un_bw un_st.Resilient.rx_peak;
   rec_ "unbounded_goodput_mb_s" un_bw;
   rec_ "unbounded_rx_peak_bytes" (float_of_int un_st.Resilient.rx_peak);
 
-  let bo_bw, bo_st, bo_stalls = slow_consumer ~bounded:true ~plan:[] () in
+  let bo_bw, bo_st, bo_stalls = slow_consumer ~bounded:true ~plan:[] in
   Printf.printf "%-42s %10.2f MB/s  (rx peak %d bytes)\n"
     "4 MB @ 100:1 mismatch, bounded" bo_bw bo_st.Resilient.rx_peak;
   Printf.printf "%-42s %10d\n" "  MadIO credit stalls (producer)" bo_stalls;
@@ -169,7 +89,7 @@ let run () =
      wall-clock cost no longer races the fault. *)
   let fault_at = Time.ms 5 in
   let plan = [ { Plan.at_ns = fault_at; action = Plan.Link_down "san" } ] in
-  let fc_bw, fc_st, _ = slow_consumer ~bounded:true ~plan () in
+  let fc_bw, fc_st, _ = slow_consumer ~bounded:true ~plan in
   Printf.printf "%-42s %10.2f MB/s  (switches %d, rx peak %d)\n"
     (Printf.sprintf "bounded + SAN down at +%d ms" (fault_at / 1_000_000))
     fc_bw fc_st.Resilient.switches

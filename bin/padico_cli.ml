@@ -94,10 +94,7 @@ let registry_cmd =
 
 let selector_cmd =
   let run model prefs =
-    let grid = Padico.create ~prefs () in
-    let a = Padico.add_node grid "a" in
-    let b = Padico.add_node grid "b" in
-    ignore (Padico.add_segment grid model [ a; b ]);
+    let grid, a, b = Scenario.pair model ~prefs () in
     let choice = Padico.connect_choice grid ~src:a ~dst:b in
     Format.printf "link model : %a@." Simnet.Linkmodel.pp model;
     Format.printf "selector   : %a@." Selector.pp_choice choice
@@ -110,18 +107,20 @@ let selector_cmd =
 let iters_arg =
   Arg.(value & opt int 1000 & info [ "iters" ] ~docv:"N" ~doc:"Ping-pong rounds.")
 
+(* One-way latency of a 4-byte ping-pong over [mw] between the pair. *)
+let latency grid a b mw iters =
+  match mw with
+  | Vio_mw -> Scenario.vio_latency grid ~src:a ~dst:b ~port:4000 ~size:4 ~iters
+  | Mpi_mw ->
+    let comms = Scenario.mpi_pair grid a b in
+    Scenario.mpi_latency grid comms ~a ~b ~iters
+  | Corba profile -> Scenario.corba_latency ~profile grid ~a ~b ~port:3000 ~iters
+  | Java_mw -> Scenario.java_latency grid ~a ~b ~port:7000 ~iters
+
 let ping_cmd =
   let run model prefs backend mw iters =
     let grid, a, b = Scenario.pair model ~prefs ~backend () in
-    let lat =
-      match mw with
-      | Vio_mw -> Scenario.vio_latency grid ~src:a ~dst:b ~port:4000 ~size:4 ~iters
-      | Mpi_mw ->
-        let comms = Scenario.mpi_pair grid a b in
-        Scenario.mpi_latency grid comms ~a ~b ~iters
-      | Corba profile -> Scenario.corba_latency ~profile grid ~a ~b ~port:3000 ~iters
-      | Java_mw -> Scenario.java_latency grid ~a ~b ~port:7000 ~iters
-    in
+    let lat = latency grid a b mw iters in
     Printf.printf "one-way latency: %.2f us (%d iterations%s)\n" lat iters
       (if backend = Padico.Host then ", wall-clock" else "")
   in
@@ -179,15 +178,7 @@ let trace_cmd =
     Padico_obs.Metrics.reset ();
     Padico_obs.Trace.enable ~capacity ();
     let grid, a, b = Scenario.pair model ~prefs () in
-    let lat =
-      match mw with
-      | Vio_mw -> Scenario.vio_latency grid ~src:a ~dst:b ~port:4000 ~size:4 ~iters
-      | Mpi_mw ->
-        let comms = Scenario.mpi_pair grid a b in
-        Scenario.mpi_latency grid comms ~a ~b ~iters
-      | Corba profile -> Scenario.corba_latency ~profile grid ~a ~b ~port:3000 ~iters
-      | Java_mw -> Scenario.java_latency grid ~a ~b ~port:7000 ~iters
-    in
+    let lat = latency grid a b mw iters in
     Padico_obs.Trace.disable ();
     Padico_obs.Export_chrome.write_file out;
     (* Sanity-check our own output: parse it back and count events per
@@ -259,76 +250,19 @@ let fault_cmd =
       Padico_obs.Metrics.reset ();
       Padico_obs.Trace.enable ()
     end;
-    (* Two nodes sharing a Myrinet SAN ("san") and a fallback Fast-Ethernet
-       LAN ("lan"): the topology every failover example in DESIGN.md uses. *)
-    let grid = Padico.create ~seed () in
-    let a = Padico.add_node grid "a" in
-    let b = Padico.add_node grid "b" in
-    ignore (Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san"
-              [ a; b ]);
-    ignore (Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan"
-              [ a; b ]);
-    let inj = Padico_fault.Inject.apply (Padico.net grid) plan in
-    Resilient.listen grid b ~port:9000 (fun vl ->
-        ignore
-          (Padico.spawn grid b ~name:"echo" (fun () ->
-               let buf = Engine.Bytebuf.create 65_536 in
-               let rec loop () =
-                 match Vlink.Vl.await (Vlink.Vl.post_read vl buf) with
-                 | Vlink.Vl.Done n ->
-                   (match
-                      Vlink.Vl.await
-                        (Vlink.Vl.post_write vl (Engine.Bytebuf.sub buf 0 n))
-                    with
-                    | Vlink.Vl.Done _ -> loop ()
-                    | _ -> ())
-                 | _ -> ()
-               in
-               loop ())));
-    let conn = Resilient.connect grid ~src:a ~dst:b ~port:9000 in
-    let cvl = Resilient.vl conn in
     let total = mbytes * 1_000_000 in
-    let received = ref 0 in
-    let t_start = ref 0 and t_end = ref 0 in
-    ignore
-      (Padico.spawn grid a ~name:"client" (fun () ->
-           (match Vlink.Vl.await_connected cvl with
-            | Ok () -> ()
-            | Error m -> failwith ("connect: " ^ m));
-           t_start := Padico.now grid;
-           let sent = ref 0 in
-           while !sent < total do
-             let n = min chunk (total - !sent) in
-             ignore
-               (Vlink.Vl.post_write cvl (Engine.Bytebuf.create n));
-             sent := !sent + n
-           done;
-           let buf = Engine.Bytebuf.create chunk in
-           let rec rd () =
-             if !received < total then
-               match Vlink.Vl.await (Vlink.Vl.post_read cvl buf) with
-               | Vlink.Vl.Done n ->
-                 received := !received + n;
-                 rd ()
-               | Vlink.Vl.Eof | Vlink.Vl.Again -> ()
-               | Vlink.Vl.Error m -> failwith ("read: " ^ m)
-           in
-           rd ();
-           t_end := Padico.now grid));
-    Padico.run grid;
-    let st = Resilient.stats conn in
-    if !received < total then
-      Printf.printf "TRANSFER INCOMPLETE: %d / %d bytes echoed\n" !received
+    let r = Scenario.Failover.echo ~seed ~plan ~total ~chunk in
+    let st = r.stats in
+    if r.received < total then
+      Printf.printf "TRANSFER INCOMPLETE: %d / %d bytes echoed\n" r.received
         total
     else begin
-      let dt = !t_end - !t_start in
       Printf.printf "echoed     : %d MB round-trip in %.3f ms virtual\n"
-        mbytes (float_of_int dt /. 1e6);
-      Printf.printf "goodput    : %.2f MB/s\n"
-        (float_of_int (2 * total) /. (float_of_int dt /. 1e9) /. 1e6)
+        mbytes (float_of_int r.elapsed_ns /. 1e6);
+      Printf.printf "goodput    : %.2f MB/s\n" r.goodput_mb_s
     end;
     Printf.printf "faults     : %d injected (%d still pending)\n"
-      (Padico_fault.Inject.fired inj) (Padico_fault.Inject.pending inj);
+      r.faults_fired r.faults_pending;
     Printf.printf "driver     : %s\n" st.Resilient.driver;
     Printf.printf "switches   : %d\n" st.Resilient.switches;
     Printf.printf "retries    : %d\n" st.Resilient.retries;
@@ -460,23 +394,8 @@ let check_cmd =
          once, sequentially. *)
       let cases = Padico_check.Conform.host_cases () in
       let cases =
-        match names with
-        | [] -> cases
-        | names ->
-          List.filter
-            (fun c ->
-               List.exists
-                 (fun n ->
-                    n = c.Padico_check.Conform.case_name
-                    || (String.length n > 0
-                        && n.[String.length n - 1] = '/'
-                        && String.length c.Padico_check.Conform.case_name
-                           >= String.length n
-                        && String.sub c.Padico_check.Conform.case_name 0
-                             (String.length n)
-                           = n))
-                 names)
-            cases
+        if names = [] then cases
+        else Padico_check.Explore.filter_names names cases
       in
       let failures = ref 0 in
       List.iter
@@ -613,72 +532,30 @@ let flow_cmd =
   let run mbytes chunk mismatch window rx_high seed budget =
     Padico_obs.Metrics.reset ();
     Padico_obs.Trace.enable ();
-    let grid = Padico.create ~seed () in
-    let a = Padico.add_node grid "a" in
-    let b = Padico.add_node grid "b" in
-    let san =
-      Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
-    in
-    ignore (Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan"
-              [ a; b ]);
-    if window > 0 then begin
-      Netaccess.Madio.set_credit_window (Padico.madio grid a san) window;
-      Netaccess.Madio.set_credit_window (Padico.madio grid b san) window
-    end;
     let config =
       { Resilient.default_config with
         Resilient.rx_high; rx_low = rx_high / 4 }
     in
-    let total = mbytes * 1_000_000 in
     (* Consumer pace: chunk bytes per wakeup, [mismatch] times slower than
        Myrinet-2000's ~250 MB/s. *)
     let delay_ns =
       int_of_float (float_of_int (chunk * mismatch) /. 250e6 *. 1e9)
     in
-    Resilient.listen ~config grid b ~port:9100 (fun vl ->
-        ignore
-          (Padico.spawn grid b ~name:"producer" (fun () ->
-               let sent = ref 0 in
-               while !sent < total do
-                 let n = min chunk (total - !sent) in
-                 match
-                   Personalities.Vio.try_write vl (Engine.Bytebuf.create n)
-                 with
-                 | `Ok k -> sent := !sent + k
-                 | `Again -> Personalities.Vio.wait_writable vl
-               done)));
-    let conn = Resilient.connect ~config grid ~src:a ~dst:b ~port:9100 in
-    let cvl = Resilient.vl conn in
-    let t0 = ref 0 and t1 = ref 0 in
-    ignore
-      (Padico.spawn grid a ~name:"consumer" (fun () ->
-           (match Vlink.Vl.await_connected cvl with
-            | Ok () -> ()
-            | Error m -> failwith ("connect: " ^ m));
-           t0 := Padico.now grid;
-           let buf = Engine.Bytebuf.create chunk in
-           let received = ref 0 in
-           while !received < total do
-             (match Vlink.Vl.await (Vlink.Vl.post_read cvl buf) with
-              | Vlink.Vl.Done n -> received := !received + n
-              | Vlink.Vl.Eof | Vlink.Vl.Again -> failwith "premature eof"
-              | Vlink.Vl.Error m -> failwith ("read: " ^ m));
-             if !received < total then
-               Engine.Proc.sleep (Simnet.Node.sim a) delay_ns
-           done;
-           t1 := Padico.now grid));
-    Padico.run grid;
+    let r =
+      Scenario.Flow.slow_consumer ~seed ~backend:Padico.Sim ~config
+        ~credit_window:window ~plan:[] ~total:(mbytes * 1_000_000) ~chunk
+        ~delay_ns
+    in
     Padico_obs.Trace.disable ();
-    let st = Resilient.stats conn in
-    let dt = !t1 - !t0 in
+    let a = r.a and b = r.b in
+    let st = r.stats in
     Printf.printf "transferred  : %d MB in %.3f ms virtual (%.2f MB/s)\n"
-      mbytes (float_of_int dt /. 1e6)
-      (float_of_int total /. (float_of_int dt /. 1e9) /. 1e6);
+      mbytes (float_of_int r.elapsed_ns /. 1e6) r.goodput_mb_s;
     Printf.printf "rx peak      : %d bytes (high watermark %d)\n"
       st.Resilient.rx_peak rx_high;
     Printf.printf "tx peak      : %d bytes (window %d)\n" st.Resilient.tx_peak
       config.Resilient.tx_window;
-    let mio_b = Padico.madio grid b san in
+    let mio_b = Padico.madio r.grid b r.san in
     Printf.printf "credit       : window %d, stalls %d, credit-only msgs %d\n"
       (Netaccess.Madio.credit_window mio_b)
       (Netaccess.Madio.credit_stalls mio_b)
@@ -794,76 +671,22 @@ let sched_cmd =
          "adaptive-eager")
     in
     Engine.Bytebuf.Pool.reset ();
-    let grid = Padico.create ~seed () in
-    let a = Padico.add_node grid "a" in
-    let b = Padico.add_node grid "b" in
-    let san =
-      Padico.add_segment grid Simnet.Presets.myrinet2000 ~name:"san" [ a; b ]
+    let pp = Scenario.Sched.polling ~seed ~policy:pol ~iters in
+    let agg_budget_ns =
+      if no_agg then None else Some Calib.madio_agg_budget_ns
     in
-    let lan =
-      Padico.add_segment grid Simnet.Presets.ethernet100 ~name:"lan" [ a; b ]
+    let bu =
+      Scenario.Sched.burst ~seed ~policy:pol ~agg_budget_ns ~count:burst
     in
-    Netaccess.Na_core.set_policy (Netaccess.Na_core.get a) pol;
-    Netaccess.Na_core.set_policy (Netaccess.Na_core.get b) pol;
-    (* One watched-but-silent LAN socket: the adaptive scheduler's
-       idle-scan accounting needs registered SysIO interest to model. *)
-    let sa = Netaccess.Sysio.get a and sb = Netaccess.Sysio.get b in
-    let stack_a = Netaccess.Sysio.stack_on sa lan in
-    let stack_b = Netaccess.Sysio.stack_on sb lan in
-    Netaccess.Sysio.listen sb stack_b ~port:80 (fun conn ->
-        Netaccess.Sysio.watch sb conn (fun _ -> ()));
-    ignore
-      (Netaccess.Sysio.connect sa stack_a ~dst:(Simnet.Node.id b) ~port:80
-         (fun _ _ -> ()));
-    let ma = Padico.madio grid a san and mb = Padico.madio grid b san in
-    if not no_agg then begin
-      Netaccess.Madio.set_aggregation ma true;
-      Netaccess.Madio.set_aggregation mb true
-    end;
-    let msg n seed =
-      let m = Engine.Bytebuf.create n in
-      Engine.Bytebuf.fill_pattern m ~seed;
-      m
-    in
-    (* Latency phase: ping-pong on lchannel 1 (explicitly flushed, the
-       latency-critical pattern). *)
-    let la = Netaccess.Madio.open_lchannel ma ~id:1 in
-    let lb = Netaccess.Madio.open_lchannel mb ~id:1 in
-    let rounds = ref 0 and t_pp = ref 0 in
-    Netaccess.Madio.set_recv lb (fun ~src buf ->
-        Netaccess.Madio.send lb ~dst:src buf;
-        Netaccess.Madio.flush lb ~dst:src);
-    Netaccess.Madio.set_recv la (fun ~src:_ _ ->
-        incr rounds;
-        if !rounds < iters then begin
-          Netaccess.Madio.send la ~dst:(Simnet.Node.id b) (msg 64 !rounds);
-          Netaccess.Madio.flush la ~dst:(Simnet.Node.id b)
-        end
-        else t_pp := Padico.now grid);
-    Netaccess.Madio.send la ~dst:(Simnet.Node.id b) (msg 64 0);
-    Netaccess.Madio.flush la ~dst:(Simnet.Node.id b);
-    (* Throughput phase: one-way 64 B burst on lchannel 2 (batchable). *)
-    let l2a = Netaccess.Madio.open_lchannel ma ~id:2 in
-    let l2b = Netaccess.Madio.open_lchannel mb ~id:2 in
-    let got = ref 0 and t0 = ref 0 and t1 = ref 0 in
-    Netaccess.Madio.set_recv l2b (fun ~src:_ _ ->
-        incr got;
-        if !got = burst then t1 := Padico.now grid);
-    ignore
-      (Padico.spawn grid a ~name:"burst-src" (fun () ->
-           t0 := Padico.now grid;
-           for i = 1 to burst do
-             Netaccess.Madio.send l2a ~dst:(Simnet.Node.id b) (msg 64 i)
-           done));
-    Padico.run grid;
     Printf.printf "policy       : %s\n" pol_name;
     Printf.printf "ping-pong    : %d round trips, %.1f us mean round trip\n"
-      !rounds
-      (float_of_int !t_pp /. float_of_int (max !rounds 1) /. 1e3);
+      iters
+      (float_of_int pp.pp_ns /. float_of_int (max iters 1) /. 1e3);
     Printf.printf "burst        : %d x 64 B in %.3f ms virtual (%.2f Mmsg/s)\n"
-      !got
-      (float_of_int (!t1 - !t0) /. 1e6)
-      (float_of_int !got /. (float_of_int (max (!t1 - !t0) 1) *. 1e-9) /. 1e6);
+      burst
+      (float_of_int bu.elapsed_ns /. 1e6)
+      (float_of_int burst /. (float_of_int (max bu.elapsed_ns 1) *. 1e-9)
+       /. 1e6);
     List.iter
       (fun (node, name) ->
          let core = Netaccess.Na_core.get node in
@@ -887,7 +710,8 @@ let sched_cmd =
            (Netaccess.Na_core.polls_idle core)
            (Netaccess.Na_core.polls_saved core)
            (Netaccess.Na_core.scan_gap core))
-      [ (a, "a"); (b, "b") ];
+      [ (pp.a, "a"); (pp.b, "b") ];
+    let ma = bu.sender in
     Printf.printf
       "aggregation  : %s — %d messages batched, %d batches, %d packets saved\n"
       (if Netaccess.Madio.aggregation_enabled ma then "on" else "off")
@@ -900,10 +724,10 @@ let sched_cmd =
   in
   Cmd.v
     (Cmd.info "sched"
-       ~doc:"Run a latency ping-pong plus a small-message burst on a \
-             SAN+LAN pair under a chosen dispatcher policy; print \
-             per-subsystem dispatch/poll statistics and aggregation \
-             counters.")
+       ~doc:"Run the E12 latency ping-pong (beside an idle watched LAN \
+             socket) and small-message burst under a chosen dispatcher \
+             policy; print the ping-pong's per-subsystem dispatch/poll \
+             statistics and the burst's aggregation counters.")
     Term.(const run $ policy_arg $ iters_arg $ burst_arg $ no_agg_arg
           $ seed_arg)
 
@@ -924,19 +748,22 @@ let collect_cmd =
            ~doc:"Payload bytes (per rank for gather/scatter).")
   in
   let op_arg =
+    let module Coll = Scenario.Coll in
     Arg.(value
-         & opt (enum [ ("all", `All); ("barrier", `Barrier);
-                       ("bcast", `Bcast); ("reduce", `Reduce);
-                       ("allreduce", `Allreduce); ("gather", `Gather);
-                       ("scatter", `Scatter) ])
-             `All
+         & opt
+             (enum
+                (("all", Coll.all_ops)
+                 :: List.map (fun op -> (Coll.op_name op, [ op ])) Coll.all_ops))
+             Coll.all_ops
          & info [ "op" ] ~docv:"OP" ~doc:"Collective to run (default all).")
   in
   let strategy_arg =
+    let module Group = Collectives.Group in
     Arg.(value
-         & opt (enum [ ("both", `Both); ("flat", `Flat);
-                       ("multilevel", `Multilevel) ])
-             `Both
+         & opt (enum [ ("both", [ Group.Flat; Group.Multilevel ]);
+                       ("flat", [ Group.Flat ]);
+                       ("multilevel", [ Group.Multilevel ]) ])
+             [ Group.Flat; Group.Multilevel ]
          & info [ "strategy" ] ~docv:"S"
            ~doc:"$(b,flat) (rank-0 star), $(b,multilevel) (topology-aware \
                  trees) or $(b,both).")
@@ -944,101 +771,34 @@ let collect_cmd =
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Seed.")
   in
-  let run clusters nodes size op strat seed =
+  let run clusters nodes size ops strategies seed =
     let module Group = Collectives.Group in
-    let module Gridgen = Scenario.Gridgen in
-    let module Bb = Engine.Bytebuf in
-    let ops =
-      List.filter
-        (fun (name, _) ->
-           match op with
-           | `All -> true
-           | `Barrier -> name = "barrier"
-           | `Bcast -> name = "bcast"
-           | `Reduce -> name = "reduce"
-           | `Allreduce -> name = "allreduce"
-           | `Gather -> name = "gather"
-           | `Scatter -> name = "scatter")
-        [ ("barrier", `B); ("bcast", `Bc); ("reduce", `R);
-          ("allreduce", `A); ("gather", `G); ("scatter", `S) ]
-    in
-    let strategies =
-      match strat with
-      | `Both -> [ (Group.Flat, "flat"); (Group.Multilevel, "multilevel") ]
-      | `Flat -> [ (Group.Flat, "flat") ]
-      | `Multilevel -> [ (Group.Multilevel, "multilevel") ]
-    in
-    let pattern n s =
-      let b = Bb.create n in
-      Bb.fill_pattern b ~seed:s;
-      b
-    in
+    let module Coll = Scenario.Coll in
     List.iter
-      (fun (strategy, sname) ->
-         let g = Gridgen.generate ~seed ~clusters ~nodes_per_cluster:nodes () in
-         let members = Array.of_list g.Gridgen.nodes in
-         let n = Array.length members in
-         let groups =
-           Group.create ~strategy g.Gridgen.grid ~name:("cli-" ^ sname)
-             g.Gridgen.nodes
+      (fun strategy ->
+         Padico_obs.Trace.enable ();
+         let r =
+           Coll.run ~seed ~clusters ~nodes_per_cluster:nodes ~payload:size
+             ~chunk:size ~ops strategy
          in
-         let db = Group.netdb groups.(0) in
+         Padico_obs.Trace.disable ();
+         let db = Group.netdb r.groups.(0) in
          Printf.printf
-           "\n%s: %d ranks, %d clusters (%s intra, wan across)\n" sname n
+           "\n%s: %d ranks, %d clusters (%s intra, wan across)\n"
+           (match strategy with
+            | Group.Flat -> "flat"
+            | Group.Multilevel -> "multilevel")
+           (Array.length r.groups)
            (Selector.Netdb.cluster_count db)
            (Selector.Netdb.level_name (Selector.Netdb.cluster_level db 0));
          Printf.printf "%-10s %9s %12s %12s\n" "op" "wan msgs" "wan bytes"
            "time (us)";
-         Padico_obs.Trace.enable ();
          List.iter
-           (fun (op_name, tag) ->
-              let m0 = Group.wan_messages groups.(0) in
-              let b0 = Group.wan_bytes groups.(0) in
-              let t0 = Padico.now g.Gridgen.grid in
-              (* Completion = the last rank finishing, not simulator
-                 quiescence (stale transport timers run long past the op). *)
-              let t1 = ref t0 in
-              Array.iteri
-                (fun r node ->
-                   ignore
-                     (Padico.spawn g.Gridgen.grid node
-                        ~name:(op_name ^ "-" ^ string_of_int r)
-                        (fun () ->
-                           let gm = groups.(r) in
-                           (match tag with
-                           | `B -> Group.barrier gm
-                           | `Bc ->
-                             ignore
-                               (Group.bcast gm ~root:0
-                                  (if r = 0 then pattern size 7
-                                   else Bb.create 0))
-                           | `R ->
-                             ignore
-                               (Group.reduce gm ~root:0 ~op:Group.Sum
-                                  (pattern size (r + 1)))
-                           | `A ->
-                             ignore
-                               (Group.allreduce gm ~op:Group.Bxor
-                                  (pattern size (r + 1)))
-                           | `G ->
-                             ignore (Group.gather gm ~root:0
-                                       (pattern size (r + 1)))
-                           | `S ->
-                             ignore
-                               (Group.scatter gm ~root:0
-                                  (if r = 0 then
-                                     Array.init n (fun i ->
-                                         pattern size (i + 1))
-                                   else [||])));
-                           t1 := max !t1 (Padico.now g.Gridgen.grid))))
-                members;
-              Padico.run g.Gridgen.grid;
-              Printf.printf "%-10s %9d %12d %12.1f\n" op_name
-                (Group.wan_messages groups.(0) - m0)
-                (Group.wan_bytes groups.(0) - b0)
-                (float_of_int (!t1 - t0) /. 1e3))
-           ops;
-         Padico_obs.Trace.disable ();
+           (fun (op, (m : Coll.meas)) ->
+              Printf.printf "%-10s %9d %12d %12.1f\n" (Coll.op_name op) m.msgs
+                m.bytes
+                (float_of_int m.ns /. 1e3))
+           r.ops;
          (* Stage spans out of the trace ring: mean queue-to-completion time
             of each (op, stage, level) across ranks. *)
          let tbl = Hashtbl.create 32 in
@@ -1096,7 +856,7 @@ let detect_cmd =
                  probe collectives).")
   in
   let crash_arg =
-    Arg.(value & opt int 20
+    Arg.(value & opt int 30
          & info [ "crash-at" ] ~docv:"MS"
            ~doc:"Crash time on the virtual clock, in milliseconds.")
   in
@@ -1106,62 +866,22 @@ let detect_cmd =
   in
   let run clusters nodes victim crash_ms interval_ms =
     let module Group = Collectives.Group in
-    let module Gridgen = Scenario.Gridgen in
-    let module Bb = Engine.Bytebuf in
     let module Time = Engine.Time in
-    let module Proc = Engine.Proc in
-    let module Node = Simnet.Node in
-    let module Plan = Padico_fault.Plan in
     let n = clusters * nodes in
     if victim <= 0 || victim >= n then begin
       Printf.eprintf "victim rank must be in 1..%d\n" (n - 1);
       exit 2
     end;
-    let g = Gridgen.generate ~clusters ~nodes_per_cluster:nodes () in
-    let members = Array.of_list g.Gridgen.nodes in
-    let heal =
-      { Detect.default_config with
-        Detect.interval_ns = Time.ms interval_ms }
-    in
-    let groups =
-      Group.create ~deadline_ns:(Time.ms 400) ~heal g.Gridgen.grid
-        ~name:"cli-detect" g.Gridgen.nodes
+    let g =
+      Scenario.Gridgen.generate ~clusters ~nodes_per_cluster:nodes ()
     in
     let crash_at = Time.ms crash_ms in
-    let ops_at = crash_at + Time.ms 1 in
     Padico_obs.Trace.enable ~capacity:262_144 ();
-    ignore
-      (Padico_fault.Inject.apply
-         (Padico.net g.Gridgen.grid)
-         [ { Plan.at_ns = crash_at;
-             action = Plan.Node_crash (Node.name members.(victim)) } ]);
-    let payload = 1024 in
-    let pat seed =
-      let b = Bb.create payload in
-      Bb.fill_pattern b ~seed;
-      b
+    let o =
+      Scenario.Heal.crash g ~label:"cli" ~victim
+        ~interval_ns:(Time.ms interval_ms) ~crash_at
+        ~deadline_ns:(Time.ms 400) ~until:(crash_at + Time.ms 400)
     in
-    Array.iteri
-      (fun r node ->
-         ignore
-           (Padico.spawn g.Gridgen.grid node
-              ~name:(Printf.sprintf "detect-%d" r)
-              (fun () ->
-                 let gm = groups.(r) in
-                 (try ignore (Group.allreduce gm ~op:Group.Bxor (pat (r + 1)))
-                  with Group.Failed _ -> ());
-                 if r <> victim then begin
-                   let now = Padico.now g.Gridgen.grid in
-                   if now < ops_at then
-                     Proc.sleep_on (Node.clock node) (ops_at - now);
-                   (* In flight across the eviction, then one epoch-1
-                      steady-state round. *)
-                   ignore (Group.allreduce gm ~op:Group.Bxor (pat (r + 1)));
-                   ignore (Group.allreduce gm ~op:Group.Bxor (pat (r + 1)))
-                 end)))
-      members;
-    Padico.run g.Gridgen.grid ~until:(crash_at + Time.ms 400);
-    Array.iter Group.retire groups;
     Padico_obs.Trace.disable ();
     Printf.printf
       "detector timeline (%d ranks, victim %d crashes at %d ms):\n" n victim
@@ -1180,7 +900,7 @@ let detect_cmd =
              r.Padico_obs.Trace.node ("member." ^ action) rank epoch
          | _ -> ())
       (Padico_obs.Trace.records ());
-    let gm0 = groups.(0) in
+    let gm0 = o.groups.(0) in
     Printf.printf
       "\nrank 0 membership: epoch %d, %d/%d live, dead [%s], %d op \
        restart(s)\n"
@@ -1196,6 +916,9 @@ let detect_cmd =
          s.Detect.hb_sent s.Detect.suspects s.Detect.refutes
          s.Detect.confirms s.Detect.monitored
      | None -> ());
+    List.iter
+      (fun (r, how) -> Printf.eprintf "rank %d %s\n" r how)
+      o.unfinished;
     Array.iteri
       (fun r gm ->
          if r <> victim && Group.poisoned gm <> None then begin
@@ -1203,7 +926,8 @@ let detect_cmd =
              (Option.value (Group.poisoned gm) ~default:"");
            exit 1
          end)
-      groups
+      o.groups;
+    if o.unfinished <> [] || o.diverged <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "detect"

@@ -33,22 +33,22 @@ let default_policies ~seeds =
   Sim.Fifo :: Sim.Lifo :: Sim.Starve_oldest
   :: List.init (max 0 seeds) (fun i -> Sim.Random i)
 
+let filter_names names cases =
+  let matches c =
+    List.exists
+      (fun n ->
+         n = c.Conform.case_name
+         || String.length n > 0
+            && n.[String.length n - 1] = '/'
+            && String.length c.Conform.case_name >= String.length n
+            && String.sub c.Conform.case_name 0 (String.length n) = n)
+      names
+  in
+  List.filter matches cases
+
 let select_cases ?(demo = false) ?names () =
   let all = Conform.cases ~demo () in
-  match names with
-  | None -> all
-  | Some names ->
-    let matches c =
-      List.exists
-        (fun n ->
-           n = c.Conform.case_name
-           || String.length n > 0
-              && n.[String.length n - 1] = '/'
-              && String.length c.Conform.case_name >= String.length n
-              && String.sub c.Conform.case_name 0 (String.length n) = n)
-        names
-    in
-    List.filter matches all
+  match names with None -> all | Some names -> filter_names names all
 
 let explore ?plan ?demo ?names ~policies () =
   let cases = select_cases ?demo ?names () in

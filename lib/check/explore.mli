@@ -31,6 +31,9 @@ val default_policies : seeds:int -> Engine.Sim.policy list
 (** [Fifo; Lifo; Starve_oldest] followed by [seeds] seeded random
     permutations (seeds [0 .. seeds-1]). *)
 
+val filter_names : string list -> Conform.case list -> Conform.case list
+(** The cases named by exact case name or ["fixture/"] prefix. *)
+
 val explore :
   ?plan:Padico_fault.Plan.t -> ?demo:bool -> ?names:string list ->
   policies:Engine.Sim.policy list -> unit -> summary

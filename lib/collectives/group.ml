@@ -199,6 +199,11 @@ let child_count_of t =
   iter_children_of t (fun _ -> incr c);
   !c
 
+let is_child t r =
+  let found = ref false in
+  iter_children_of t (fun c -> if c = r then found := true);
+  !found
+
 (* The child whose subtree contains [dst] — scatter routing. Only called
    with destinations inside this member's subtree. *)
 let route_child t dst =
@@ -885,7 +890,17 @@ and h_dispatch t src hdr body =
   else if phase = 0 then h_handle_up t src body
   else h_handle_down t src body
 
-and h_handle_serve t body =
+and h_handle_serve t src body =
+  if (not (has_up t.op)) && is_child t src then
+    (* Down-first ops commit bottom-up: a child that re-serves has the
+       data and its whole subtree acked, which is exactly its ack — not
+       proof that the group committed. Adopting it would finish this
+       member without acking its own parent, and the root would wait
+       forever. *)
+    h_handle_up t src body
+  else h_adopt_serve t body
+
+and h_adopt_serve t body =
   (* A committed neighbour re-served the operation we are retrying: adopt
      its result, stop expecting anything, relay to our subtree (whose
      members may be waiting on us the same way) and complete. *)
@@ -940,7 +955,7 @@ and drain_pending t =
           else h_handle_pull t h ~src ~pseq:seq
         end
         else if t.active && seq = t.seq then begin
-          if hdr = hdr_serve then h_handle_serve t body
+          if hdr = hdr_serve then h_handle_serve t src body
           else h_dispatch t src hdr body
         end
         else if seq > t.seq then Queue.push msg t.pending
@@ -1437,7 +1452,7 @@ let create ?(strategy = Multilevel) ?deadline_ns ?heal padico ~name nodes =
                   else h_handle_pull t h ~src ~pseq:seq
                 end
                 else if t.active && seq = t.seq then begin
-                  if hdr = hdr_serve then h_handle_serve t body
+                  if hdr = hdr_serve then h_handle_serve t src body
                   else h_dispatch t src hdr body
                 end
                 else if seq > t.seq then

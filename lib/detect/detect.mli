@@ -53,17 +53,11 @@ type config = {
           fast-retransmit round trip; pipelined heartbeats arrive at
           sub-interval spacing and would otherwise confirm long before
           the retransmission lands. *)
-  wheel_timers : bool;
-      (** Arm the sweep tick on the node's {!Padico_fault.Timewheel}
-          instead of the engine heap: thousands of detectors then share
-          one engine event per occupied slot, with ticks at slot
-          granularity. Default [false] — exact heap timers, the
-          behaviour the deterministic detection schedules pin. *)
 }
 
 val default_config : config
 (** 1 ms interval, window 8, suspect at phi 1.0, confirm at phi 2.0,
-    wide-area floor 4 intervals, heap timers. *)
+    wide-area floor 4 intervals. *)
 
 type verdict = Alive | Suspect | Confirmed
 

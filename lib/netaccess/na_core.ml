@@ -26,8 +26,6 @@ type adaptive = {
 
 type policy = Static of quanta | Adaptive of adaptive
 
-type io_model = Scan | Ready_queue
-
 let default_quanta = { madio_quantum = 4; sysio_quantum = 4 }
 
 let default_policy = Static default_quanta
@@ -80,9 +78,8 @@ type t = {
   polls_busy : Stats.Counter.t; (* scans with readiness events pending *)
   polls_idle : Stats.Counter.t; (* charged scans that found nothing *)
   polls_saved : Stats.Counter.t; (* idle scans elided by the backoff *)
-  (* Ready-queue io-model state. Empty when the model is [Scan] (the
-     default): the dispatcher round then never touches it. *)
-  mutable iomodel : io_model;
+  (* Readiness sources. Empty unless [Sysio] edge mode registered some:
+     the dispatcher round then never touches it. *)
   ready : source Queue.t;
   mutable next_src : int;
   mutable nsources : int;
@@ -347,7 +344,7 @@ let get dnode =
         polls_busy = Metrics.fresh_counter scope "na.sysio.polls_busy";
         polls_idle = Metrics.fresh_counter scope "na.sysio.polls_idle";
         polls_saved = Metrics.fresh_counter scope "na.sysio.polls_saved";
-        iomodel = Scan; ready = Queue.create (); next_src = 0; nsources = 0;
+        ready = Queue.create (); next_src = 0; nsources = 0;
         ready_drains = Metrics.fresh_counter scope "na.ready.drains";
         ready_polls = Metrics.fresh_counter scope "na.ready.polls" }
     in
@@ -437,11 +434,7 @@ let scan_gap t = t.scan_gap
 
 let work_ewma t kind = (qstate t kind).ewma
 
-(* -- readiness-queue io model ------------------------------------------- *)
-
-let set_io_model t m = t.iomodel <- m
-
-let io_model t = t.iomodel
+(* -- readiness sources --------------------------------------------------- *)
 
 let register_source t ~drain =
   let s =

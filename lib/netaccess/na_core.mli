@@ -148,30 +148,21 @@ val current_quantum : t -> kind -> int
 (** The quantum the next round would grant [kind] (static: the policy
     constant; adaptive: the EWMA-driven value before any boost). *)
 
-(** {2 Readiness-queue io model (edge-gateway capacity)}
+(** {2 Readiness sources (edge-gateway capacity)}
 
-    With [Scan] (the default) every SysIO event is an individually posted
-    work item — fine at tens of connections, O(events) queue traffic at
-    100k. [Ready_queue] replaces per-event posts with explicit readiness
-    {e sources}: events accumulate at the source (one per watched
-    connection) and the source sits on a ready list at most once until
-    drained. A dispatch round charges one [Calib.sysio_poll_ns] poll when
-    the list is non-empty and drains up to the SysIO quantum of sources;
-    {e idle connections are not on the list and cost zero}. With no
+    By default every SysIO event is an individually posted work item —
+    fine at tens of connections, O(events) queue traffic at 100k.
+    Readiness {e sources} replace per-event posts: events accumulate at
+    the source (one per watched connection) and the source sits on a
+    ready list at most once until drained. A dispatch round charges one
+    [Calib.sysio_poll_ns] poll when the list is non-empty and drains up
+    to the SysIO quantum of sources; {e idle connections are not on the
+    list and cost zero}. With no
     sources registered the machinery is inert and the dispatcher is
     byte-identical to the classic path — the PR-4/PR-5 capability
     precedent. *)
 
-type io_model = Scan | Ready_queue
-
 type source
-
-val set_io_model : t -> io_model -> unit
-(** Record the node's io model. This is advisory state consulted by
-    [Sysio] when wiring connections; registered sources drain under
-    either value. *)
-
-val io_model : t -> io_model
 
 val register_source : t -> drain:(unit -> unit) -> source
 (** A new readiness source. [drain] must deliver {e every} pending event

@@ -95,7 +95,6 @@ let enable_edge_stack t st =
 let set_edge t =
   if not t.edge then begin
     t.edge <- true;
-    Na_core.set_io_model t.core Na_core.Ready_queue;
     List.iter (enable_edge_stack t) t.sim_stacks
   end
 

@@ -112,8 +112,7 @@ val events_dispatched : t -> int
     every prior release. [set_edge] flips the node to the 100k-connection
     regime:
 
-    - the dispatcher's {!Na_core.io_model} becomes [Ready_queue]: each
-      watched sim connection gets a coalescing readiness {e source}
+    - each watched sim connection gets a coalescing readiness {e source}
       (pending [Readable]/[Writable] edges absorb duplicates) that sits on
       the ready list at most once — idle connections cost zero per round;
     - per-connection TCP timers (RTO, persist) are re-routed onto the

@@ -1,9 +1,17 @@
 (* Reusable measurement scenarios over the Padico runtime: grids, latency
-   ping-pongs and bandwidth streams for each middleware. Used by the
-   benchmark harness (bench/) and the CLI (bin/padico_cli). All numbers
-   are virtual-time measurements from the simulator. *)
+   ping-pongs and bandwidth streams for each middleware, plus one module
+   per grid experiment (E10 Failover, E11 Flow, E12 Sched, E13 Coll, E14
+   Heal). The benchmark harness (bench/) and the CLI (bin/padico_cli) both
+   run these, so an experiment has exactly one implementation. Numbers are
+   virtual-time measurements unless a scenario runs on the host backend. *)
 
 module Gridgen = Gridgen
+module Failover = Failover
+module Flow = Flow
+module Sched = Sched
+module Coll = Coll
+module Heal = Heal
+include Harness
 
 module Bb = Engine.Bytebuf
 module Vio = Personalities.Vio
@@ -12,21 +20,9 @@ module Orb = Mw_corba.Orb
 module Cdr = Mw_corba.Cdr
 module Jsock = Mw_java.Jsock
 
-let fail_on_error h =
-  match Engine.Proc.result h with
-  | Some (Error e) ->
-    Printf.eprintf "bench process %s failed: %s\n%!" (Engine.Proc.name h)
-      (Printexc.to_string e);
-    exit 1
-  | Some (Ok ()) | None -> ()
-
-let run grid = Padico.run grid ~until:(Engine.Time.sec 3600)
-
 (* Number of messages for a bandwidth point: enough traffic to reach steady
    state at every size. *)
 let count_for size = max 32 (min 2048 (8_000_000 / size))
-
-let mb_s bytes ns = Engine.Stats.bandwidth_mb_s ~bytes_transferred:bytes ~elapsed_ns:ns
 
 (* A Myrinet pair grid (the paper's testbed). *)
 let myrinet_pair () =

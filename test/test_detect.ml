@@ -315,6 +315,14 @@ let test_reassembly_is_hearing () =
   run_matrix_case ~seed:160226 ~strategy:Group.Flat ~victim:1 MReduce;
   run_matrix_case ~seed:160258 ~strategy:Group.Multilevel ~victim:1 MGather
 
+(* Quadruples where a healing bcast's root never finished although every
+   survivor held the payload. *)
+let test_bcast_root_finishes () =
+  List.iter
+    (fun seed ->
+       run_matrix_case ~seed ~strategy:Group.Multilevel ~victim:1 MBcast)
+    [ 160249; 5012; 5014 ]
+
 (* Randomized replay of the same matrix under fresh jitter/loss draws: any
    failing (seed, op, victim, strategy) quadruple is printed by QCheck and
    reproduces deterministically. *)
@@ -360,6 +368,8 @@ let () =
           Alcotest.test_case "six ops, flat" `Slow (test_matrix Group.Flat);
           Alcotest.test_case "lost retransmit: reassembly counts as heard"
             `Quick test_reassembly_is_hearing;
+          Alcotest.test_case "healing bcast: the root finishes" `Quick
+            test_bcast_root_finishes;
         ] );
       Tutil.qsuite "matrix-random" [ qcheck_matrix ];
     ]

@@ -17,7 +17,7 @@ module Timewheel = Padico_fault.Timewheel
 
 (* Model: [nsrc] interest slots, each holding a live source (or none). A
    random schedule of Mark / Unregister / Re-register ops runs against a
-   real dispatcher in [Ready_queue] mode. Each model slot counts events
+   real dispatcher's readiness sources. Each model slot counts events
    not yet drained; the source's drain consumes them all (the per-
    connection queue drain). Invariants, checked after quiescence:
 
@@ -35,7 +35,6 @@ let readiness_holds ops =
   let grid = Padico.create () in
   let n = Padico.add_node grid "n" in
   let core = Na.get n in
-  Na.set_io_model core Na.Ready_queue;
   let pending = Array.make nsrc 0 in
   let alive = Array.make nsrc false in
   let spurious = ref 0 and ghost = ref 0 in
